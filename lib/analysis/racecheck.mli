@@ -9,7 +9,7 @@
 
     Approximations (see DESIGN.md 5h): values returned by calls count
     as domain-local (fresh-value assumption, operationally backed by
-    [Parallel.warm_graph] pre-forcing shared memos), closures are
+    [Service.warm_graph] pre-forcing shared memos), closures are
     analysed in their definition scope, and unknown external callees
     are assumed read-only. *)
 

@@ -331,15 +331,23 @@ let respond oc r =
   output_string oc r.body;
   flush oc
 
+(* The accept loop serves one connection at a time, so a peer gets
+   this long per read of its request before it is dropped: a silent
+   peer must not hold /metrics hostage. *)
+let peer_timeout_s = 1.0
+
+(* Whatever one peer does — reset mid-request, go silent, hang up
+   before the response — ends with its socket closed and the accept
+   loop serving the next connection. *)
 let handle_connection t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      match input_line ic with
-      | exception End_of_file -> ()
-      | request_line ->
+      try
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO peer_timeout_s;
+        let request_line = input_line ic in
         let r =
           match String.split_on_char ' ' (String.trim request_line) with
           | [ "GET"; path; _version ] -> route t path
@@ -356,8 +364,10 @@ let handle_connection t fd =
              if not (String.equal (String.trim l) "") then drain ()
            in
            drain ()
-         with End_of_file | Sys_error _ -> ());
-        (try respond oc r with Sys_error _ -> ()))
+         with End_of_file | Sys_error _ | Sys_blocked_io -> ());
+        respond oc r
+      with End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ ->
+        ())
 
 type server = {
   sv_fd : Unix.file_descr;
@@ -368,6 +378,10 @@ type server = {
 
 let start ?(host = "127.0.0.1") ?(port = 0) state =
   let addr = Unix.inet_addr_of_string host in
+  (* A peer that hangs up before its response would otherwise kill the
+     process with SIGPIPE on the write; ignored, the write raises
+     instead and only that connection ends. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (addr, port));
@@ -416,12 +430,17 @@ let stop s =
 
 (* ---- client ---------------------------------------------------------- *)
 
+let client_timeout_s = 5.0
+
 (* A one-shot GET, enough for the self check and the CI smoke step. *)
 let get ?(host = "127.0.0.1") ~port path =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      (* Bounded like the server side: a wedged server fails the scrape
+         instead of hanging the caller. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO client_timeout_s;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
       let oc = Unix.out_channel_of_descr fd in
       output_string oc

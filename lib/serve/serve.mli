@@ -31,7 +31,10 @@ type server
 
 val start : ?host:string -> ?port:int -> t -> server
 (** Binds [host:port] (defaults [127.0.0.1:0] — an ephemeral port) and
-    serves on a background thread.
+    serves on a background thread, one connection at a time.  Each
+    read of a peer's request waits at most 1 s; a peer that resets,
+    stays silent or hangs up only loses its own connection.  Sets SIGPIPE to ignored for the process, so a write to
+    a closed peer raises instead of killing it.
     @raise Unix.Unix_error when the bind fails. *)
 
 val port : server -> int
@@ -44,7 +47,8 @@ val stop : server -> unit
 
 val get : ?host:string -> port:int -> string -> int * string
 (** One-shot [GET path] returning (status, body); enough for the self
-    check and the CI smoke step. *)
+    check and the CI smoke step.  Each read waits at most 5 s.
+    @raise Sys_blocked_io when the server does not answer in time. *)
 
 val self_check : server -> (string * int * string) list
 (** Scrapes [/healthz], [/metrics] and [/snapshot] through a real

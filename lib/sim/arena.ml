@@ -1,6 +1,8 @@
 module Graph = Lipsin_topology.Graph
 module Fastpath = Lipsin_forwarding.Fastpath
 module Bitsliced = Lipsin_forwarding.Bitsliced
+module Node_engine = Lipsin_forwarding.Node_engine
+module Obs = Lipsin_obs.Obs
 
 (* Recycled per-publication delivery scratch.  Every array is sized once
    from the topology and reused across publications: delivery-set and
@@ -9,7 +11,9 @@ module Bitsliced = Lipsin_forwarding.Bitsliced
    Expand_once mode, so [link_count + 1] slots bound it), and compiled
    engines are pinned per node so the hot loop never consults the Net's
    lazy caches.  The result: [deliver] is a certified [@lipsin.noalloc]
-   root — zero minor words per publication in steady state. *)
+   root — zero minor words per publication in steady state.  A sampled
+   publication runs the same loop and additionally records one trace
+   event per dequeued node; only that branch allocates. *)
 
 type t = {
   net : Net.t;
@@ -52,8 +56,6 @@ type t = {
   mutable deliveries : int;
   mutable over_delivery : int;
   mutable stitch_matches : int;
-  mutable lost : int;
-  mutable last_packet : int;
 }
 
 let create net =
@@ -94,8 +96,6 @@ let create net =
     deliveries = 0;
     over_delivery = 0;
     stitch_matches = 0;
-    lost = 0;
-    last_packet = -1;
   }
 
 let net a = a.net
@@ -188,9 +188,7 @@ let[@lipsin.noalloc] reset a =
   a.local_deliveries <- 0;
   a.deliveries <- 0;
   a.over_delivery <- 0;
-  a.stitch_matches <- 0;
-  a.lost <- 0;
-  a.last_packet <- -1
+  a.stitch_matches <- 0
 
 (* One admitted copy on the link with dense index [li] towards [dst],
    decided at hop [depth] — the recycled mirror of Run.deliver's
@@ -220,16 +218,37 @@ let[@lipsin.noalloc] propagate a li dst depth =
     a.q_tail <- t + 1
   end
 
+let trace_kind = function
+  | None -> Obs.Trace.Hop
+  | Some Node_engine.Fill_limit_exceeded -> Obs.Trace.Drop_fill
+  | Some Node_engine.Loop_detected -> Obs.Trace.Drop_loop
+  | Some Node_engine.Bad_table -> Obs.Trace.Drop_bad_table
+
+(* One trace event for the node just decided, with the fields
+   Run.deliver records: the links this node's fan-out enqueued are the
+   ring slice [q_in.(q0) .. q_in.(q_tail - 1)], and it raised a false
+   positive iff the tally moved past [fp0]. *)
+let record_hop a ~packet ~table ~engine ~drop ~loop_suspected
+    ~deliver_local ~node ~in_link ~depth ~q0 ~fp0 =
+  Obs.Trace.record (Obs.Trace.local ()) ~table ~engine ~depth ~packet ~node
+    ~in_link ~kind:(trace_kind drop)
+    ~out_links:(Array.sub a.q_in q0 (a.q_tail - q0))
+    ~false_positive:(a.false_positives > fp0)
+    ~loop_suspected ~deliver_local ~ttl_expired:0
+
 (* Expand-once BFS over the pinned compiled engines.  Stitch payloads
    are tallied but not collected (staged delivery goes through
-   Stitched.deliver, which needs the full Run.deliver outcome). *)
-let[@lipsin.noalloc] run_queue a ~table ~zfilter =
+   Stitched.deliver, which needs the full Run.deliver outcome).
+   [packet] is the sampled publication id, or -1 when not traced. *)
+let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
   while a.q_head < a.q_tail do
     let h = a.q_head in
     a.q_head <- h + 1;
     let node = Array.get a.q_node h in
     let in_link_index = Array.get a.q_in h in
     let depth = Array.get a.q_depth h in
+    let q0 = a.q_tail in
+    let fp0 = a.false_positives in
     if Array.get a.use_bits node then begin
       match Array.get a.bits node with
       | None -> ()  (* unreachable after [warm]; dropping is the safe miss *)
@@ -248,7 +267,14 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter =
           let p = Array.get fwd i in
           propagate a (Bitsliced.out_index bs p) (Bitsliced.out_dst bs p)
             depth
-        done
+        done;
+        if packet >= 0 then
+          (record_hop a ~packet ~table ~engine:Obs.Trace.engine_bitsliced
+             ~drop:(Bitsliced.drop_reason d)
+             ~loop_suspected:d.Bitsliced.loop_suspected
+             ~deliver_local:d.Bitsliced.deliver_local ~node
+             ~in_link:in_link_index ~depth ~q0 ~fp0
+           [@lipsin.allow_alloc "sampled publication only"])
     end
     else begin
       match Array.get a.fps node with
@@ -268,11 +294,18 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter =
           let p = Array.get fwd i in
           propagate a (Fastpath.out_index fp p) (Fastpath.out_dst fp p)
             depth
-        done
+        done;
+        if packet >= 0 then
+          (record_hop a ~packet ~table ~engine:Obs.Trace.engine_fast
+             ~drop:(Fastpath.drop_reason d)
+             ~loop_suspected:d.Fastpath.loop_suspected
+             ~deliver_local:d.Fastpath.deliver_local ~node
+             ~in_link:in_link_index ~depth ~q0 ~fp0
+           [@lipsin.allow_alloc "sampled publication only"])
     end
   done
 
-let[@lipsin.noalloc] deliver a ~src ~table ~zfilter =
+let[@lipsin.noalloc] deliver a ~trace ~src ~table ~zfilter =
   reset a;
   Array.set a.q_node 0 src;
   Array.set a.q_in 0 (-1);
@@ -282,7 +315,10 @@ let[@lipsin.noalloc] deliver a ~src ~table ~zfilter =
   Array.set a.touched_nodes 0 src;
   Array.set a.reach_depth 0 0;
   a.n_reached <- 1;
-  run_queue a ~table ~zfilter
+  let packet =
+    if trace.Obs.Trace.tc_sampled then trace.Obs.Trace.tc_packet else -1
+  in
+  run_queue a ~table ~zfilter ~packet
 
 let rec under_count traversed acc links =
   match links with

@@ -12,11 +12,12 @@
     never falls into the Net's lazy compile caches.  {!deliver} is a
     certified [[@lipsin.noalloc]] root.
 
-    The supported fast path is expand-once delivery on the [`Fast],
-    [`Bitsliced] and [`Auto] engines with loop prevention off; anything
-    else (reference engine, TTL mode, loss, sampled tracing) goes
-    through {!Run.deliver} — {!Run.deliver_into} arbitrates and absorbs
-    the outcome back into the arena so callers read one shape.
+    An arena runs expand-once delivery on the [`Fast], [`Bitsliced] and
+    [`Auto] engines; it is how the forwarding service delivers on them.
+    Trace-sampled publications run the same loop and additionally
+    record one {!Lipsin_obs.Obs.Trace} event per dequeued node.  The
+    reference engine, TTL mode, loss and stitch payloads stay with the
+    general simulator, {!Run.deliver}.
 
     An arena belongs to one domain (its buffers are private mutable
     state) and to one {!Net}; {!prepare} revalidates the pinned engines
@@ -63,11 +64,6 @@ type t = {
   mutable stitch_matches : int;
       (** Stitch entries matched (payloads are not collected — staged
           delivery uses {!Stitched.deliver}). *)
-  mutable lost : int;  (** Always 0 on the fast path; set when
-                           {!Run.deliver_into} absorbs a lossy run. *)
-  mutable last_packet : int;
-      (** Packet id of the last absorbed sampled publication, -1
-          otherwise. *)
 }
 (** Exposed concretely so {!Run} and the forwarding service read tallies
     with plain field loads inside their own noalloc regions.  Treat
@@ -88,24 +84,26 @@ val prepare : t -> [ `Fast | `Bitsliced | `Auto ] -> unit
 (** Re-runs {!warm} iff the engine choice changed or the net was
     invalidated since the last warm; otherwise free. *)
 
-val reset : t -> unit
-(** Clears the delivery set, seen-link marks and tallies in O(touched).
-    {!deliver} resets implicitly; {!Run.deliver_into} resets before
-    absorbing a fallback outcome. *)
-
 val set_tree : t -> Lipsin_topology.Graph.link list -> unit
 (** Installs the intended tree for false-positive / over- /
     under-delivery classification.  Physically-equal lists are
     recognised and cost nothing — recycle job records in soak loops. *)
 
 val deliver :
-  t -> src:Lipsin_topology.Graph.node -> table:int ->
-  zfilter:Lipsin_bloom.Zfilter.t -> unit
+  t -> trace:Lipsin_obs.Obs.Trace.ctx -> src:Lipsin_topology.Graph.node ->
+  table:int -> zfilter:Lipsin_bloom.Zfilter.t -> unit
 (** One expand-once publication over the pinned engines, writing the
     delivery set and tallies into the arena.  Requires {!warm} (or
-    {!prepare}) and {!set_tree} first.  Allocation-free
+    {!prepare}) and {!set_tree} first.  With [trace] unsampled
+    ({!Lipsin_obs.Obs.Trace.off}) it is allocation-free
     ([[@lipsin.noalloc]], checked by [lipsin_lint --alloc] and at
-    runtime by [bench --soak]). *)
+    runtime by [bench --soak]).  A sampled [trace] also records one
+    event per dequeued node under [trace.tc_packet], with the same
+    fields {!Run.deliver} records, into the calling domain's ring. *)
+
+val trace_kind :
+  Lipsin_forwarding.Node_engine.drop_reason option -> Lipsin_obs.Obs.Trace.kind
+(** The trace event kind of a decision's drop reason. *)
 
 val under_delivery : t -> int
 (** Intended-tree links never traversed by the last {!deliver}. *)

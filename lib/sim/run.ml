@@ -78,12 +78,6 @@ let h_pub_traversals =
   Obs.Histogram.make ~help:"Link traversals per publication"
     "lipsin_publication_link_traversals"
 
-let trace_kind_of_drop = function
-  | None -> Obs.Trace.Hop
-  | Some Node_engine.Fill_limit_exceeded -> Obs.Trace.Drop_fill
-  | Some Node_engine.Loop_detected -> Obs.Trace.Drop_loop
-  | Some Node_engine.Bad_table -> Obs.Trace.Drop_bad_table
-
 let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
     ?(stage = -1) net ~src ~table ~zfilter ~tree =
   (match loss with
@@ -199,7 +193,7 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
           ~packet:pid ~node
           ~in_link:
             (match in_link with None -> -1 | Some l -> l.Graph.index)
-          ~kind:(trace_kind_of_drop drop)
+          ~kind:(Arena.trace_kind drop)
           ~out_links:(Array.of_list (List.rev !out_acc))
           ~false_positive:!fp_flag ~loop_suspected ~deliver_local
           ~ttl_expired:!ttl_refused
@@ -314,49 +308,12 @@ let deliver ?(mode = Expand_once) ?loss ?(engine = `Reference) ?trace
 
 (* ---- arena-recycled steady-state path ------------------------------- *)
 
-(* Absorb a full [deliver] outcome into the arena so service/soak
-   callers read one shape whether the publication took the recycled fast
-   path or fell back (sampled tracing, reference engine, TTL, loss).
-   The fallback already did its own Obs accounting inside [deliver]. *)
-let absorb (a : Arena.t) (o : outcome) =
-  Arena.reset a;
-  Array.iteri
-    (fun v r ->
-      if r then begin
-        a.Arena.reached.(v) <- true;
-        a.Arena.touched_nodes.(a.Arena.n_reached) <- v;
-        a.Arena.reach_depth.(a.Arena.n_reached) <- 0;
-        a.Arena.n_reached <- a.Arena.n_reached + 1
-      end)
-    o.reached;
-  List.iter
-    (fun l ->
-      let li = l.Graph.index in
-      if not a.Arena.seen_link.(li) then begin
-        a.Arena.seen_link.(li) <- true;
-        a.Arena.touched_links.(a.Arena.n_seen) <- li;
-        a.Arena.n_seen <- a.Arena.n_seen + 1
-      end;
-      if a.Arena.on_tree.(li) then a.Arena.tree_traversed.(li) <- true
-      else a.Arena.over_delivery <- a.Arena.over_delivery + 1)
-    o.traversed;
-  a.Arena.link_traversals <- o.link_traversals;
-  a.Arena.false_positives <- o.false_positives;
-  a.Arena.membership_tests <- o.membership_tests;
-  a.Arena.fill_drops <- o.fill_drops;
-  a.Arena.loop_drops <- o.loop_drops;
-  a.Arena.local_deliveries <- o.local_deliveries;
-  a.Arena.deliveries <- max 0 (a.Arena.n_reached - 1);
-  a.Arena.stitch_matches <- List.length o.stitch_hits;
-  a.Arena.lost <- o.lost;
-  a.Arena.last_packet <- o.packet_id
-
 (* The Obs epilogue of the recycled path, mirroring [deliver]'s: the
    per-publication counters the engines cannot see, the latency
    histogram fed post-hoc from the recorded first-reach depths, and the
-   1-in-16 flight-recorder note that keeps the latency-jump trigger
-   armed on the steady-state path. *)
-let arena_obs (a : Arena.t) ~table ~flight ~t0 =
+   flight-recorder note (every traced publication, 1-in-16 of the rest)
+   that keeps the latency-jump trigger armed on the steady-state path. *)
+let arena_obs (a : Arena.t) ~table ~packet ~flight ~t0 =
   let c = Obs.Histogram.local h_latency in
   for i = 1 to a.Arena.n_reached - 1 do
     Obs.Histogram.record_int c a.Arena.reach_depth.(i)
@@ -376,42 +333,26 @@ let arena_obs (a : Arena.t) ~table ~flight ~t0 =
         [ Printf.sprintf "%d loop drops" a.Arena.loop_drops ]
       else []
     in
-    Obs.Flight.note ~anomalies ~events:0 ~packet:(-1)
+    Obs.Flight.note ~anomalies
+      ~events:(if packet >= 0 then a.Arena.link_traversals + 1 else 0)
+      ~packet
       ~latency:(Unix.gettimeofday () -. t0)
       ()
   end
 
-let arena_path scratch eng ~src ~table ~zfilter =
-  let net = Arena.net scratch in
-  Net.tick net;
-  Arena.prepare scratch eng;
-  let obs = Obs.enabled () in
-  let flight = obs && Obs.Flight.want_note () in
-  let t0 = if flight then Unix.gettimeofday () else 0.0 in
-  Arena.deliver scratch ~src ~table ~zfilter;
-  if obs then arena_obs scratch ~table ~flight ~t0
-
-let deliver_into ?(mode = Expand_once) ?loss ?(engine = `Fast) ?trace scratch
-    ~src ~table ~zfilter ~tree =
+let deliver_into ?(engine = `Fast) ?(trace = Obs.Trace.off) scratch ~src
+    ~table ~zfilter ~tree =
   Arena.set_tree scratch tree;
-  let sampled =
-    match trace with Some c -> c.Obs.Trace.tc_sampled | None -> false
+  Net.tick (Arena.net scratch);
+  Arena.prepare scratch engine;
+  let obs = Obs.enabled () in
+  let packet =
+    if trace.Obs.Trace.tc_sampled then trace.Obs.Trace.tc_packet else -1
   in
-  let fallback () =
-    let o =
-      deliver ~mode ?loss ~engine ?trace (Arena.net scratch) ~src ~table
-        ~zfilter ~tree
-    in
-    absorb scratch o
-  in
-  if sampled then fallback ()
-  else
-    match (engine, mode, loss) with
-    | `Fast, Expand_once, None -> arena_path scratch `Fast ~src ~table ~zfilter
-    | `Bitsliced, Expand_once, None ->
-      arena_path scratch `Bitsliced ~src ~table ~zfilter
-    | `Auto, Expand_once, None -> arena_path scratch `Auto ~src ~table ~zfilter
-    | (`Reference | `Fast | `Bitsliced | `Auto), _, _ -> fallback ()
+  let flight = packet >= 0 || (obs && Obs.Flight.want_note ()) in
+  let t0 = if flight then Unix.gettimeofday () else 0.0 in
+  Arena.deliver scratch ~trace ~src ~table ~zfilter;
+  if obs then arena_obs scratch ~table ~packet ~flight ~t0
 
 let verify_trace net outcome =
   if outcome.packet_id < 0 then None

@@ -82,9 +82,7 @@ val deliver :
     unstaged). *)
 
 val deliver_into :
-  ?mode:mode ->
-  ?loss:loss ->
-  ?engine:engine ->
+  ?engine:[ `Fast | `Bitsliced | `Auto ] ->
   ?trace:Lipsin_obs.Obs.Trace.ctx ->
   Arena.t ->
   src:Lipsin_topology.Graph.node ->
@@ -92,20 +90,20 @@ val deliver_into :
   zfilter:Lipsin_bloom.Zfilter.t ->
   tree:Lipsin_topology.Graph.link list ->
   unit
-(** {!deliver} into recycled scratch: the steady-state path of the
-    forwarding service.  Writes the delivery set and all outcome tallies
-    into [scratch] instead of allocating an {!outcome}.
+(** {!deliver} into recycled scratch: the forwarding service's delivery
+    path.  Runs one expand-once publication through the arena's
+    recycled loop ({!Arena.deliver}) and writes the delivery set and all
+    outcome tallies into [scratch] instead of allocating an {!outcome}.
+    Unsampled publications cost ~0 minor words versus ~6.8k for
+    {!deliver} (BENCH_PR4 vs BENCH_PR10).
 
-    Expand-once publications on the compiled engines ([`Fast],
-    [`Bitsliced], [`Auto]) with no loss and no sampled trace context run
-    the arena's certified zero-allocation loop ({!Arena.deliver}) —
-    ~0 minor words per op versus ~6.8k for {!deliver} (BENCH_PR4 vs
-    BENCH_PR10).  Anything else (reference engine, TTL mode, loss,
-    [trace] with [tc_sampled]) transparently falls back to {!deliver}
-    and absorbs the outcome into [scratch], so callers read one shape
-    either way.  Counter totals and the delivery set are bit-for-bit
-    identical to {!deliver} on the same inputs — the differential suite
-    in [test/test_service.ml] pins this. *)
+    [engine] defaults to [`Fast].  With a sampled [trace] context the
+    same loop also records the per-hop trace events {!deliver} would
+    record, under [trace.tc_packet].  Counter totals, Obs counter deltas
+    and the delivery set are bit-for-bit identical to {!deliver} with
+    the same engine and context — the differential suite in
+    [test/test_service.ml] pins this.  The reference engine, TTL mode
+    and loss have no arena path; use {!deliver}. *)
 
 val verify_trace : Net.t -> outcome -> Lipsin_obs.Obs.Span.verdict option
 (** The runtime trace cross-check: reconstructs the publication's span

@@ -153,45 +153,38 @@ let accum_arena w =
   w.w_local <- w.w_local + a.Arena.local_deliveries;
   w.w_reached <- w.w_reached + a.Arena.n_reached
 
-(* One claimed job.  The counter path mirrors what Parallel's per-job
-   Run.deliver did: one 1-in-N trace-sampling draw per publication;
-   sampled publications run the full allocating path (per-hop trace
-   events), everything else runs the arena's zero-alloc loop, with a
-   1-in-64 wall-time sample feeding the service latency histogram. *)
+(* One claimed job.  Every publication draws one 1-in-N trace-sampling
+   decision.  Compiled engines all run the arena's recycled loop (a
+   sampled publication also records its per-hop trace events there),
+   with a 1-in-64 wall-time sample feeding the service latency
+   histogram; the reference engine runs Run.deliver. *)
 let exec_one t w i =
   match t.exec with
   | Exec_none -> ()
   | Exec_count jobs ->
     let j = Array.get jobs i in
+    let ctx = Obs.Trace.start () in
     (match t.engine with
     | `Reference ->
-      let ctx = Obs.Trace.start () in
       let o =
         Run.deliver ~engine:`Reference ~trace:ctx w.w_net ~src:j.job_src
           ~table:j.job_table ~zfilter:j.job_zfilter ~tree:j.job_tree
       in
       accum_outcome w o
     | (`Fast | `Bitsliced | `Auto) as e ->
-      let ctx = Obs.Trace.start () in
-      if ctx.Obs.Trace.tc_sampled then begin
-        let o =
-          Run.deliver ~engine:(e :> Run.engine) ~trace:ctx w.w_net
-            ~src:j.job_src ~table:j.job_table ~zfilter:j.job_zfilter
-            ~tree:j.job_tree
-        in
-        accum_outcome w o
-      end
-      else begin
-        let tick = w.w_tick in
-        w.w_tick <- tick + 1;
-        let timed = tick land 63 = 0 && Obs.enabled () in
-        let t0 = if timed then Unix.gettimeofday () else 0.0 in
-        Run.deliver_into ~engine:(e :> Run.engine) w.w_arena ~src:j.job_src
-          ~table:j.job_table ~zfilter:j.job_zfilter ~tree:j.job_tree;
-        if timed then
-          Obs.Histogram.observe h_job (Unix.gettimeofday () -. t0);
-        accum_arena w
-      end)
+      let tick = w.w_tick in
+      w.w_tick <- tick + 1;
+      let timed = tick land 63 = 0 && Obs.enabled () in
+      let t0 = if timed then Unix.gettimeofday () else 0.0 in
+      (* Passing [Some ctx] only when sampled keeps the unsampled call
+         free of the option box. *)
+      Run.deliver_into ~engine:e
+        ?trace:(if ctx.Obs.Trace.tc_sampled then Some ctx else None)
+        w.w_arena ~src:j.job_src ~table:j.job_table ~zfilter:j.job_zfilter
+        ~tree:j.job_tree;
+      if timed then Obs.Histogram.observe h_job (Unix.gettimeofday () -. t0);
+      accum_arena w;
+      if ctx.Obs.Trace.tc_sampled then w.w_sampled <- w.w_sampled + 1)
   | Exec_collect (jobs, f) ->
     let j = Array.get jobs i in
     let o =

@@ -1,19 +1,17 @@
 (** The persistent forwarding service: a long-lived per-core domain
-    pool with work-stealing shard queues and arena-recycled delivery.
+    pool with work-stealing shard queues and arena-recycled delivery —
+    the repo's one parallel executor.
 
-    {!Parallel.deliver_all} spawns fresh domains — and builds fresh
-    {!Net}s, engine compilations and delivery scratch — on {e every}
-    batch.  A service pays all of that once: {!create} spawns the pool,
-    each worker builds a private {!Net} plus an {!Arena} with every
-    node's engine compiled in one batch, and then batches are only
-    dispatched, never set up.  Per batch the jobs are split into one
-    contiguous shard per worker; workers drain their own shard first and
-    then steal from the other shards' atomic cursors, so skewed
-    fan-outs spread across the pool.  Steady-state publications run
-    {!Run.deliver_into}'s certified zero-alloc arena loop; trace-sampled
-    publications (1-in-N, process-wide) transparently take the full
-    {!Run.deliver} path so observability is identical to the spawning
-    model.
+    {!create} spawns the pool once; each worker builds a private {!Net}
+    plus an {!Arena} with every node's engine compiled in one batch, and
+    then batches are only dispatched, never set up.  Per batch the jobs
+    are split into one contiguous shard per worker; workers drain their
+    own shard first and then steal from the other shards' atomic
+    cursors, so skewed fan-outs spread across the pool.  On the compiled
+    engines every {!run} publication goes through {!Run.deliver_into}'s
+    recycled arena loop; a trace-sampled publication (1-in-N,
+    process-wide) runs the same loop and also records its per-hop trace
+    events there.
 
     Totals are deterministic for any worker count and steal order
     (loop prevention off): every job is claimed exactly once and

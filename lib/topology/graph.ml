@@ -55,8 +55,8 @@ let link_count t = t.n_links
 let edge_count t = t.n_links / 2
 
 let[@lipsin.allow_race
-     "memo write; pre-forced single-domain by Parallel.warm_graph \
-      before any shard spawns"] out_links t u =
+     "memo write; pre-forced single-domain by Service.warm_graph \
+      before any worker spawns"] out_links t u =
   check_node t u;
   match t.out_rev.(u) with
   | [] when t.out.(u) <> [] ->
@@ -72,8 +72,8 @@ let out_degree t u =
 let neighbors t u = List.map (fun l -> l.dst) (out_links t u)
 
 let[@lipsin.allow_race
-     "memo write; pre-forced single-domain by Parallel.warm_graph \
-      before any shard spawns"] link_array t =
+     "memo write; pre-forced single-domain by Service.warm_graph \
+      before any worker spawns"] link_array t =
   match t.link_array with
   | Some a -> a
   | None ->

@@ -2,8 +2,7 @@
    reference Node_engine decision-for-decision — forward set, local
    delivery, service matches, loop suspicion, drop reason and
    membership-test count — on random topologies, filters (including
-   over-full and all-ones), bad table indexes and failed-link patterns.
-   Plus determinism checks for the Domain-parallel batch front-end. *)
+   over-full and all-ones), bad table indexes and failed-link patterns. *)
 
 module Bitvec = Lipsin_bitvec.Bitvec
 module Lit = Lipsin_bloom.Lit
@@ -18,7 +17,6 @@ module Node_engine = Lipsin_forwarding.Node_engine
 module Fastpath = Lipsin_forwarding.Fastpath
 module Net = Lipsin_sim.Net
 module Run = Lipsin_sim.Run
-module Parallel = Lipsin_sim.Parallel
 module Rng = Lipsin_util.Rng
 
 let link_indexes v = List.map (fun l -> l.Graph.index) v
@@ -296,49 +294,6 @@ let test_fastpath_sees_net_failures () =
   Alcotest.(check bool) "failed link not traversed" false
     (List.exists (fun l -> l.Graph.index = first.Graph.index) o.Run.traversed)
 
-(* --- Domain-parallel batch --- *)
-
-let parallel_jobs () =
-  let graph = Generator.pref_attach ~rng:(Rng.of_int 91) ~nodes:80 ~edges:130
-      ~max_degree:10 () in
-  let asg = Assignment.make Lit.default (Rng.of_int 92) graph in
-  let rng = Rng.of_int 93 in
-  let jobs =
-    Array.init 40 (fun _ ->
-        let users = 2 + Rng.int rng 8 in
-        let picks = Rng.sample rng users (Graph.node_count graph) in
-        let tree =
-          Spt.delivery_tree graph ~root:picks.(0)
-            ~subscribers:(Array.to_list (Array.sub picks 1 (users - 1)))
-        in
-        let c = Candidate.build_one asg ~tree ~table:0 in
-        {
-          Parallel.job_src = picks.(0);
-          job_table = 0;
-          job_zfilter = c.Candidate.zfilter;
-          job_tree = tree;
-        })
-  in
-  (asg, jobs)
-
-let strip_domains s = { s with Parallel.domains_used = 0 }
-
-let test_parallel_deterministic_across_domains () =
-  let asg, jobs = parallel_jobs () in
-  let one = Parallel.deliver_all ~domains:1 asg jobs in
-  let three = Parallel.deliver_all ~domains:3 asg jobs in
-  Alcotest.(check int) "all jobs ran" 40 one.Parallel.jobs;
-  Alcotest.(check int) "three domains" 3 three.Parallel.domains_used;
-  Alcotest.(check bool) "sharding does not change totals" true
-    (strip_domains one = strip_domains three)
-
-let test_parallel_engines_agree () =
-  let asg, jobs = parallel_jobs () in
-  let fast = Parallel.deliver_all ~domains:2 ~engine:`Fast asg jobs in
-  let reference = Parallel.deliver_all ~domains:2 ~engine:`Reference asg jobs in
-  Alcotest.(check bool) "fast = reference" true
-    (strip_domains fast = strip_domains reference)
-
 let () =
   Alcotest.run "fastpath"
     [
@@ -352,11 +307,5 @@ let () =
           Alcotest.test_case "delivery agreement" `Quick test_delivery_agreement;
           Alcotest.test_case "net invalidates on failure" `Quick
             test_fastpath_sees_net_failures;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "deterministic across domains" `Quick
-            test_parallel_deterministic_across_domains;
-          Alcotest.test_case "engines agree" `Quick test_parallel_engines_agree;
         ] );
     ]

@@ -1,6 +1,8 @@
 (* Tests for Lipsin_serve: the exposition-format conformance linter,
-   the snapshot-diff state machine, and a live server round-trip over
-   a real TCP socket (start, scrape every endpoint, stop). *)
+   the snapshot-diff state machine, a live server round-trip over a
+   real TCP socket (start, scrape every endpoint, stop), and peers that
+   reset, never speak or hang up early, which must not take the server
+   down. *)
 
 module Obs = Lipsin_obs.Obs
 module Serve = Lipsin_serve.Serve
@@ -109,6 +111,58 @@ let test_server_roundtrip () =
               Alcotest.(check int) (path ^ " self-check") 200 status)
             (Serve.self_check server)))
 
+(* ---- misbehaving peers ---------------------------------------------- *)
+
+let with_server f =
+  let server = Serve.start ~port:0 (Serve.make ()) in
+  Fun.protect ~finally:(fun () -> Serve.stop server) (fun () ->
+      f (Serve.port server))
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* Half a request line, then an RST (SO_LINGER 0) instead of a FIN. *)
+let test_reset_peer () =
+  with_server (fun port ->
+      let fd = connect port in
+      ignore (Unix.write_substring fd "GET /hea" 0 8);
+      Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+      Unix.close fd;
+      let status, _ = Serve.get ~port "/healthz" in
+      Alcotest.(check int) "healthz after a reset peer" 200 status)
+
+(* Whole requests for a /metrics body larger than one channel buffer,
+   each peer closing without reading: the server's second write meets
+   the peer's RST, which raised SIGPIPE and killed the process. *)
+let test_hangup_peer () =
+  with_memory (fun () ->
+      for i = 1 to 1000 do
+        Obs.Counter.add
+          (Obs.Counter.make (Printf.sprintf "test_serve_bulk_%d_total" i))
+          i
+      done;
+      with_server (fun port ->
+          for _ = 1 to 5 do
+            let fd = connect port in
+            let req = "GET /metrics HTTP/1.1\r\n\r\n" in
+            ignore (Unix.write_substring fd req 0 (String.length req));
+            Unix.close fd
+          done;
+          let status, _ = Serve.get ~port "/healthz" in
+          Alcotest.(check int) "healthz after peers hung up" 200 status))
+
+(* A peer that connects and sends nothing, and keeps the socket open. *)
+let test_silent_peer () =
+  with_server (fun port ->
+      let fd = connect port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let status, _ = Serve.get ~port "/healthz" in
+          Alcotest.(check int) "healthz beside a silent peer" 200 status))
+
 let () =
   Alcotest.run "serve"
     [
@@ -122,5 +176,11 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "diffs between scrapes" `Quick test_snapshot_diff ] );
       ( "server",
-        [ Alcotest.test_case "live round-trip" `Quick test_server_roundtrip ] );
+        [
+          Alcotest.test_case "live round-trip" `Quick test_server_roundtrip;
+          Alcotest.test_case "survives a reset peer" `Quick test_reset_peer;
+          Alcotest.test_case "survives a silent peer" `Quick test_silent_peer;
+          Alcotest.test_case "survives peers that hang up" `Quick
+            test_hangup_peer;
+        ] );
     ]

@@ -1,8 +1,9 @@
 (* The persistent forwarding service must be a pure performance
    transform: for any worker count, engine and steal interleaving, the
    delivery sets and counter totals must equal sequential Run.deliver
-   bit-for-bit.  Plus the arena path (Run.deliver_into) against the
-   allocating path on the same scratch, pool-reuse accounting, and
+   bit-for-bit.  Plus the arena path (Run.deliver_into), untraced and
+   traced, against the allocating path on the same inputs, pool-reuse
+   accounting, and
    partitioned (stitched) batches against sequential Stitched.deliver. *)
 
 module Bitvec = Lipsin_bitvec.Bitvec
@@ -199,26 +200,78 @@ let test_pool_reuse () =
 
 (* --- arena path == allocating path on the same inputs --- *)
 
+(* Obs counter movements over [f ()], keyed by rendered series, zero
+   deltas dropped. *)
+let counter_deltas f =
+  let counters () =
+    List.filter_map
+      (function
+        | name, labels, Obs.Export.Vcounter v ->
+          let key =
+            name ^ String.concat ""
+              (List.map (fun (k, v) -> Printf.sprintf ",%s=%s" k v) labels)
+          in
+          Some (key, v)
+        | _ -> None)
+      (Obs.Export.samples ())
+  in
+  let before = counters () in
+  f ();
+  List.filter_map
+    (fun (k, v) ->
+      let d = v - Option.value ~default:0 (List.assoc_opt k before) in
+      if d = 0 then None else Some (k, d))
+    (counters ())
+
+(* A packet's trace events with the per-publication identity (packet id,
+   ring sequence number) blanked, so two runs compare field by field. *)
+let hops packet =
+  List.map
+    (fun e -> { e with Obs.Trace.ev_packet = 0; ev_seq = 0 })
+    (Obs.Trace.packet_events packet)
+
+let trace_event =
+  Alcotest.testable
+    (fun fmt e -> Format.pp_print_string fmt (Obs.Trace.to_string e))
+    ( = )
+
 let test_deliver_into_matches_deliver () =
+  Obs.Sink.set Obs.Sink.Memory;
+  Obs.Trace.set_recording true;
   let asg, jobs = make_jobs 53 ~nodes:60 ~count:48 in
   let net = Net.make ~loop_prevention:false asg in
+  let graph = Net.graph net in
   let arena = Arena.create net in
   List.iter
-    (fun engine ->
+    (fun (engine, traced) ->
       Arena.prepare arena engine;
       Array.iteri
         (fun i j ->
-          let o =
-            Run.deliver
-              ~engine:(engine :> Run.engine)
-              net ~src:j.Service.job_src ~table:j.Service.job_table
-              ~zfilter:j.Service.job_zfilter ~tree:j.Service.job_tree
+          let ctx () = if traced then Obs.Trace.forced () else Obs.Trace.off in
+          let o = ref None in
+          let run_deltas =
+            counter_deltas (fun () ->
+                o :=
+                  Some
+                    (Run.deliver
+                       ~engine:(engine :> Run.engine)
+                       ~trace:(ctx ()) net ~src:j.Service.job_src
+                       ~table:j.Service.job_table
+                       ~zfilter:j.Service.job_zfilter ~tree:j.Service.job_tree))
           in
-          Run.deliver_into
-            ~engine:(engine :> Run.engine)
-            arena ~src:j.Service.job_src ~table:j.Service.job_table
-            ~zfilter:j.Service.job_zfilter ~tree:j.Service.job_tree;
-          let name what = Printf.sprintf "job %d: %s" i what in
+          let o = Option.get !o in
+          let arena_ctx = ctx () in
+          let arena_deltas =
+            counter_deltas (fun () ->
+                Run.deliver_into ~engine ~trace:arena_ctx arena
+                  ~src:j.Service.job_src ~table:j.Service.job_table
+                  ~zfilter:j.Service.job_zfilter ~tree:j.Service.job_tree)
+          in
+          let name what =
+            Printf.sprintf "job %d%s: %s" i
+              (if traced then " traced" else "")
+              what
+          in
           Alcotest.(check (array bool))
             (name "delivery set")
             o.Run.reached (Arena.reached_copy arena);
@@ -236,9 +289,32 @@ let test_deliver_into_matches_deliver () =
             o.Run.fill_drops arena.Arena.fill_drops;
           Alcotest.(check int)
             (name "local deliveries")
-            o.Run.local_deliveries arena.Arena.local_deliveries)
+            o.Run.local_deliveries arena.Arena.local_deliveries;
+          Alcotest.(check (list (pair string int)))
+            (name "Obs counter deltas")
+            run_deltas arena_deltas;
+          if traced then begin
+            let packet = arena_ctx.Obs.Trace.tc_packet in
+            Alcotest.(check (list trace_event))
+              (name "trace events")
+              (hops o.Run.packet_id) (hops packet);
+            let expected = ref [] in
+            Array.iteri
+              (fun v r -> if r then expected := v :: !expected)
+              (Arena.reached_copy arena);
+            let verdict =
+              Obs.Span.crosscheck
+                ~dst_of:(fun l -> (Graph.link graph l).Graph.dst)
+                ~expected:(List.rev !expected) (Obs.Span.of_packet packet)
+            in
+            if not verdict.Obs.Span.vd_ok then
+              Alcotest.failf "%s" (name (Obs.Span.verdict_to_string verdict))
+          end)
         jobs)
-    [ `Fast; `Bitsliced; `Auto ]
+    (List.concat_map
+       (fun e -> [ (e, false); (e, true) ])
+       [ `Fast; `Bitsliced; `Auto ]);
+  Obs.Sink.set Obs.Sink.Noop
 
 (* --- partitioned batches == sequential Stitched.deliver --- *)
 
