@@ -445,6 +445,43 @@ let run_alloc () =
         (Bitvec.subset
            (Zfilter.to_bitvec zfilter16)
            ~of_:(Zfilter.to_bitvec zfilter16)));
+  (* A stitched stage on the recycled arena: stage 0 of a partitioned
+     tree, its handoffs installed as stitch entries (patched into the
+     pinned engines), hits collected by the kernel. *)
+  (let module Adaptive = Lipsin_core.Adaptive in
+   let module Stagecut = Lipsin_core.Stagecut in
+   let module Partition = Lipsin_bloom.Partition in
+   let module Arena = Lipsin_sim.Arena in
+   let module Stitched = Lipsin_sim.Stitched in
+   let module Scenario = Lipsin_workload.Scenario in
+   let g, hosts =
+     Scenario.two_tier ~seed:7 ~core:40 ~core_edges:80 ~max_degree:16
+       ~hosts:400 ()
+   in
+   let adaptive = Adaptive.make ~d:2 ~k:5 (Rng.of_int 0x57a9e) g in
+   match
+     Stagecut.plan adaptive ~rng:(Rng.of_int 0x57a9f) ~root:0
+       ~subscribers:hosts
+   with
+   | Error e ->
+     Printf.printf "  stitched-stage: Stagecut.plan failed: %s\n%!" e;
+     failures := "arena-stitched-stage" :: !failures
+   | Ok (part, _) ->
+     let stitched = Stitched.make ~loop_prevention:false adaptive in
+     Stitched.install stitched part;
+     let s0 = part.Partition.stages.(0) in
+     let arena = Arena.create (Stitched.net stitched ~m:s0.Partition.m) in
+     Arena.warm arena `Fast;
+     Arena.set_tree arena (List.map (Graph.link g) s0.Partition.links);
+     let stage () =
+       Arena.deliver arena ~trace:Obs.Trace.off ~stage:0 ~src:s0.Partition.root
+         ~table:s0.Partition.table ~zfilter:s0.Partition.filter
+     in
+     measure "arena-stitched-stage" ~iters:iters_batch ~gated:true stage;
+     if arena.Arena.n_hits = 0 then begin
+       Printf.printf "  arena-stitched-stage: no stitch hit collected\n%!";
+       failures := "arena-stitched-stage" :: !failures
+     end);
   (* Obs fast lanes, counters live: first touch registers the
      per-domain cell (the [@lipsin.allow_alloc] site in local_cell);
      the measured steady state must be allocation-free. *)

@@ -30,8 +30,8 @@
       arrays stay inside [\[0, n_ports)];
     - ["capacity"] — the preallocated decision buffers hold the
       worst-case decision;
-    - ["digest"] — the FNV-1a fingerprint recorded at compile time still
-      matches the blob bytes.  This catches {e any} single-byte
+    - ["digest"] — the fingerprint recorded at compile time (or at the
+      last stitch patch) still matches the blob bytes.  This catches {e any} single-byte
       corruption, including flips inside virtual or block live bits that
       the structural checks cannot distinguish from a legitimate tree.
 

@@ -301,83 +301,73 @@ type t = {
   batch_dead_phys : int array;
   batch_dead_in : int array;
   batch_ok : bool array;
-  mutable blob_digest : int;
+  mutable core_hash : int;  (* digest of the non-stitch section, at compile *)
+  mutable blob_digest : int;  (* digest of all blobs, at compile or patch *)
   obs : meters;
 }
 
 (* Integrity fingerprint Analysis.Audit compares against to catch
    post-compile corruption — covering the row blobs, the canonical
-   column blobs and every derived array.  Unlike Fastpath's byte-wise
-   FNV-1a, this engine hashes a word at a time (multiply-xorshift over
-   63-bit lanes): the transposed tables are ~50x larger than the row
-   blobs they mirror, and the byte loop dominated compile time at
-   whole-graph delivery scale.  The digest is compared only against
-   its own recomputation, so the function choice is free. *)
-let fnv_offset = 0xcbf29ce484222
-let mix_prime = 0x2545F4914F6CDD1D
+   column blobs and every derived array, hashed a word at a time with
+   Fastpath's mixer.  Sectioned like Fastpath's: a core hash over
+   geometry and every non-stitch blob and slice, recorded at compile,
+   and a stitch section (rows, payloads, stitch slices) that
+   [patch_stitches] rehashes alone. *)
+let mix_slices h sls =
+  Array.fold_left
+    (fun h sl ->
+      let h = Fastpath.mix_int h sl.sl_n in
+      let h = Fastpath.mix_bytes h sl.sl_cols in
+      let h = Fastpath.mix_bytes h sl.sl_used in
+      let h = Fastpath.mix_ints h sl.sl_active in
+      let h = Fastpath.mix_ints h sl.sl_plane in
+      Fastpath.mix_ints h sl.sl_valid)
+    h sls
 
-let fnv_int h i =
-  let x = (h lxor i) * mix_prime in
-  x lxor (x lsr 32)
-
-let fnv_bytes h blob =
-  let n = Bytes.length blob in
-  let h = ref (fnv_int h n) in
-  let i = ref 0 in
-  while !i + 8 <= n do
-    let w = Bytes.get_int64_le blob !i in
-    (* Int64.to_int keeps the low 63 bits; fold the top bit in
-       separately so no flip is invisible. *)
-    h := fnv_int !h (Int64.to_int w);
-    h := fnv_int !h (Int64.to_int (Int64.shift_right_logical w 62));
-    i := !i + 8
-  done;
-  while !i < n do
-    h := fnv_int !h (Char.code (Bytes.get blob !i));
-    incr i
-  done;
-  !h
-
-let fnv_ints h a =
-  let h = ref h in
-  Array.iter (fun i -> h := fnv_int !h i) a;
-  !h
-
-let digest t =
-  let h = ref fnv_offset in
-  let ints =
-    [ t.m; t.d; t.words; t.stride; t.n_ports; t.n_virt; t.plane_bits;
-      t.fill_threshold ]
+let core_digest t =
+  let h =
+    Fastpath.mix_ints Fastpath.mix_offset
+      [| t.m; t.d; t.words; t.stride; t.n_ports; t.n_virt; t.plane_bits;
+         t.fill_threshold |]
   in
-  List.iter (fun i -> h := fnv_int !h i) ints;
-  h := fnv_ints !h t.k_for_table;
-  let blobs tbl_array = Array.iter (fun b -> h := fnv_bytes !h b) tbl_array in
-  blobs t.phys;
-  blobs t.in_tags;
-  blobs t.blocks;
-  blobs t.virt;
-  blobs t.local;
-  blobs t.svc;
-  blobs t.stitch;
-  h := fnv_ints !h t.stitch_partition;
-  h := fnv_ints !h t.stitch_next;
-  let slices sls =
-    Array.iter
-      (fun sl ->
-        h := fnv_int !h sl.sl_n;
-        h := fnv_bytes !h sl.sl_cols;
-        h := fnv_bytes !h sl.sl_used;
-        h := fnv_ints !h sl.sl_active;
-        h := fnv_ints !h sl.sl_plane;
-        h := fnv_ints !h sl.sl_valid)
-      sls
-  in
-  slices t.sl_phys;
-  slices t.sl_in;
-  slices t.sl_virt;
-  slices t.sl_svc;
-  slices t.sl_stitch;
-  !h land max_int
+  let h = Fastpath.mix_ints h t.k_for_table in
+  let h = Fastpath.mix_blobs h t.phys in
+  let h = Fastpath.mix_blobs h t.in_tags in
+  let h = Fastpath.mix_blobs h t.blocks in
+  let h = Fastpath.mix_blobs h t.virt in
+  let h = Fastpath.mix_blobs h t.local in
+  let h = Fastpath.mix_blobs h t.svc in
+  let h = mix_slices h t.sl_phys in
+  let h = mix_slices h t.sl_in in
+  let h = mix_slices h t.sl_virt in
+  mix_slices h t.sl_svc
+
+let stitch_digest t =
+  let h = Fastpath.mix_blobs Fastpath.mix_offset t.stitch in
+  let h = Fastpath.mix_ints h t.stitch_partition in
+  let h = Fastpath.mix_ints h t.stitch_next in
+  mix_slices h t.sl_stitch
+
+let seal ~core ~stitch = Fastpath.mix_int core stitch land max_int
+let digest t = seal ~core:(core_digest t) ~stitch:(stitch_digest t)
+
+let make_decision ~n_ports ~n_services ~n_stitch =
+  {
+    forward = Array.make (max 1 n_ports) 0;
+    n_forward = 0;
+    deliver_local = false;
+    services = Array.make (max 1 n_services) 0;
+    n_services = 0;
+    stitches = Array.make (max 1 n_stitch) 0;
+    n_stitch = 0;
+    loop_suspected = false;
+    drop = no_drop;
+    tests = 0;
+  }
+
+(* Sub-blocks of the virtual/service/stitch dead-mask scratch. *)
+let sub_aux ~n_virt ~n_services ~n_stitch =
+  max 1 ((max n_virt (max n_services n_stitch) + 31) lsr 5)
 
 let compile engine =
   let st = Node_engine.state engine in
@@ -485,14 +475,10 @@ let compile engine =
         Array.iteri (fun s (tags, _) -> write blob s tags.(tbl)) services;
         blob)
   in
-  let stitches = Array.of_list st.Node_engine.state_stitches in
-  let n_stitch = Array.length stitches in
-  let stitch =
-    Array.init d (fun tbl ->
-        let blob = entry_blob n_stitch in
-        Array.iteri (fun s (tags, _, _) -> write blob s tags.(tbl)) stitches;
-        blob)
+  let stitch, stitch_partition, stitch_next =
+    Fastpath.stitch_rows ~d ~stride st.Node_engine.state_stitches
   in
+  let n_stitch = Array.length stitch_next in
   let plane_bits = if n_ports >= byte_plane_threshold then 8 else 4 in
   let npos = stride * 8 / plane_bits in
   let slice_of blobs n = Array.map (build_slice ~stride ~bits:plane_bits ~n) blobs in
@@ -502,7 +488,6 @@ let compile engine =
   let sl_svc = slice_of svc n_services in
   let sl_stitch = slice_of stitch n_stitch in
   let sub_ports = (n_ports + 31) lsr 5 in
-  let sub_aux = (max n_virt (max n_services n_stitch) + 31) lsr 5 in
   let batch_cap = 32 in
   let t =
     {
@@ -535,8 +520,8 @@ let compile engine =
       svc;
       svc_names = Array.map snd services;
       stitch;
-      stitch_partition = Array.map (fun (_, pid, _) -> pid) stitches;
-      stitch_next = Array.map (fun (_, _, next) -> next) stitches;
+      stitch_partition;
+      stitch_next;
       sl_phys;
       sl_in;
       sl_virt;
@@ -552,34 +537,54 @@ let compile engine =
       vals = Array.make npos 0;
       dead_phys = Array.make (max 1 sub_ports) 0;
       dead_in = Array.make (max 1 sub_ports) 0;
-      dead_aux = Array.make (max 1 sub_aux) 0;
+      dead_aux = Array.make (sub_aux ~n_virt ~n_services ~n_stitch) 0;
       seen = Array.make (max 1 n_ports) 0;
       gen = 0;
-      decision =
-        {
-          forward = Array.make (max 1 n_ports) 0;
-          n_forward = 0;
-          deliver_local = false;
-          services = Array.make (max 1 n_services) 0;
-          n_services = 0;
-          stitches = Array.make (max 1 n_stitch) 0;
-          n_stitch = 0;
-          loop_suspected = false;
-          drop = no_drop;
-          tests = 0;
-        };
+      decision = make_decision ~n_ports ~n_services ~n_stitch;
       batch_cap;
       batch_zf = Bytes.make (batch_cap * stride) '\000';
       batch_vals = Array.make (batch_cap * npos) 0;
       batch_dead_phys = Array.make (max 1 (batch_cap * sub_ports)) 0;
       batch_dead_in = Array.make (max 1 (batch_cap * sub_ports)) 0;
       batch_ok = Array.make batch_cap false;
+      core_hash = 0;
       blob_digest = 0;
       obs = make_meters ();
     }
   in
-  t.blob_digest <- digest t;
+  t.core_hash <- core_digest t;
+  t.blob_digest <- seal ~core:t.core_hash ~stitch:(stitch_digest t);
   t
+
+(* As Fastpath.patch_stitches: only the stitch rows, payloads, stitch
+   slices, decision buffer and the aux dead-mask scratch (sized by the
+   stitch count too) are rebuilt; [t] is retired. *)
+let patch_stitches t engine =
+  if Node_engine.node engine <> t.node then
+    invalid_arg "Bitsliced.patch_stitches: engine of another node";
+  let stitch, stitch_partition, stitch_next =
+    Fastpath.stitch_rows ~d:t.d ~stride:t.stride
+      (Node_engine.stitch_entries engine)
+  in
+  let n_stitch = Array.length stitch_next in
+  let n_services = Array.length t.svc_names in
+  let t' =
+    {
+      t with
+      stitch;
+      stitch_partition;
+      stitch_next;
+      sl_stitch =
+        Array.map
+          (build_slice ~stride:t.stride ~bits:t.plane_bits ~n:n_stitch)
+          stitch;
+      dead_aux =
+        Array.make (sub_aux ~n_virt:t.n_virt ~n_services ~n_stitch) 0;
+      decision = make_decision ~n_ports:t.n_ports ~n_services ~n_stitch;
+    }
+  in
+  t'.blob_digest <- seal ~core:t.core_hash ~stitch:(stitch_digest t');
+  t'
 
 let node t = t.node
 let table_count t = t.d
@@ -591,6 +596,10 @@ let[@lipsin.noalloc] out_index t p = Array.get t.out_index p
 
 let[@lipsin.noalloc] out_dst t p =
   (Array.get t.out_links p).Graph.dst
+
+let stitch_count t = Array.length t.stitch_next
+let[@lipsin.noalloc] stitch_partition t s = Array.get t.stitch_partition s
+let[@lipsin.noalloc] stitch_next t s = Array.get t.stitch_next s
 let plane_bits t = t.plane_bits
 let tick t = t.tick_count <- t.tick_count + 1
 

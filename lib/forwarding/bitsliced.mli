@@ -74,6 +74,13 @@ val compile : Node_engine.t -> t
     layout as {!Fastpath.compile}) and transposes them into the
     column-major blobs and sweep planes. *)
 
+val patch_stitches : t -> Node_engine.t -> t
+(** The bit-sliced twin of {!Fastpath.patch_stitches}: rebuilds only the
+    stitch rows, payloads, stitch slices, decision buffer and the
+    auxiliary dead-mask scratch; the digest rehashes only the stitch
+    section.  [t] is retired.
+    @raise Invalid_argument if [engine] is not [t]'s node. *)
+
 val node : t -> Lipsin_topology.Graph.node
 val table_count : t -> int
 val port_count : t -> int
@@ -87,6 +94,15 @@ val out_index : t -> int -> int
 
 val out_dst : t -> int -> int
 (** The destination node behind a port; allocation-free. *)
+
+val stitch_count : t -> int
+(** Stitch entries compiled in. *)
+
+val stitch_partition : t -> int -> int
+(** Partition id of stitch entry [s]; allocation-free. *)
+
+val stitch_next : t -> int -> int
+(** Next stage of stitch entry [s]; allocation-free. *)
 
 val plane_bits : t -> int
 (** Sweep granularity chosen at compile: 4 (nibble planes) or 8 (byte
@@ -205,4 +221,5 @@ val view : t -> view
 val digest : t -> int
 (** Recomputes the integrity digest (word-wise multiply-xorshift) over
     geometry, row blobs, column blobs and derived arrays.  Equal to
-    [(view t).view_digest] iff nothing changed since {!compile}. *)
+    [(view t).view_digest] iff nothing changed since {!compile} or the
+    last {!patch_stitches}. *)

@@ -56,6 +56,16 @@ val compile : Node_engine.t -> t
 (** Flattens the engine's current state ({!Node_engine.state}) into the
     compiled table layout. *)
 
+val patch_stitches : t -> Node_engine.t -> t
+(** [patch_stitches t engine] is [t] with its stitch section rebuilt
+    from [engine]'s current stitch entries: the stitch rows, payloads
+    and decision buffer are new, every other blob, the loop cache and
+    the scratch buffers are shared with [t], and the digest rehashes
+    only the stitch section.  Equal, digest included, to a fresh
+    {!compile} of [engine] when only stitch entries changed since [t]
+    was compiled.  [t] is retired: decide on the result only.
+    @raise Invalid_argument if [engine] is not [t]'s node. *)
+
 val node : t -> Lipsin_topology.Graph.node
 val table_count : t -> int
 val port_count : t -> int
@@ -71,6 +81,16 @@ val out_index : t -> int -> int
 val out_dst : t -> int -> int
 (** The destination node behind a port — [(out_link t p).dst];
     allocation-free. *)
+
+val stitch_count : t -> int
+(** Stitch entries compiled in. *)
+
+val stitch_partition : t -> int -> int
+(** Partition id of stitch entry [s] (an index from
+    [decision.stitches]); allocation-free. *)
+
+val stitch_next : t -> int -> int
+(** Next stage of stitch entry [s]; allocation-free. *)
 
 val tick : t -> unit
 (** Advances the loop-cache clock (mirror of {!Node_engine.tick}). *)
@@ -156,6 +176,27 @@ type view = {
 val view : t -> view
 
 val digest : t -> int
-(** Recomputes the FNV-1a integrity digest over the current blob
-    contents and geometry.  Equal to [(view t).view_digest] iff no blob
-    byte changed since {!compile}. *)
+(** Recomputes the integrity digest over the current blob contents and
+    geometry, both sections (core and stitch).  Equal to
+    [(view t).view_digest] iff no blob byte changed since {!compile}
+    or the last {!patch_stitches}. *)
+
+(** {1 Shared with {!Bitsliced}}
+
+    The word-at-a-time multiply-xorshift both compiled engines hash
+    their blobs with, and the stitch-section row builder. *)
+
+val mix_offset : int
+val mix_int : int -> int -> int
+val mix_ints : int -> int array -> int
+val mix_bytes : int -> Bytes.t -> int
+val mix_blobs : int -> Bytes.t array -> int
+
+val stitch_rows :
+  d:int ->
+  stride:int ->
+  (Lipsin_bitvec.Bitvec.t array * int * int) list ->
+  Bytes.t array * int array * int array
+(** [stitch_rows ~d ~stride entries] lays stitch entries
+    ({!Node_engine.stitch_entries} order) out as one row blob per table
+    plus the parallel partition-id and next-stage payload arrays. *)

@@ -215,9 +215,11 @@ let install_stitch t lit ~partition ~next =
     }
     :: t.stitches
 
-let remove_stitch t lit =
-  let nonce = Lit.nonce lit in
+let remove_stitch t ~nonce =
   t.stitches <- List.filter (fun s -> not (Int64.equal s.st_nonce nonce)) t.stitches
+
+let stitch_entries t =
+  List.map (fun s -> (s.st_tags, s.st_partition, s.st_next)) t.stitches
 
 let install_block t link lit =
   let p = find_port t link in
@@ -428,8 +430,7 @@ let state t =
         t.ports;
     state_virtuals = List.map (fun v -> (v.v_tags, v.v_out)) t.virtuals;
     state_services = List.map (fun s -> (s.s_tags, s.s_name)) t.services;
-    state_stitches =
-      List.map (fun s -> (s.st_tags, s.st_partition, s.st_next)) t.stitches;
+    state_stitches = stitch_entries t;
     state_loop_prevention = t.loop_prevention;
     state_loop_capacity = t.loop_capacity;
     state_loop_ttl = t.loop_ttl;

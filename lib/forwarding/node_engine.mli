@@ -118,8 +118,14 @@ val install_stitch : t -> Lipsin_bloom.Lit.t -> partition:int -> next:int -> uni
     [stitches_matched], telling the delivery layer to hand the packet
     over to stage [next] of the partition rooted at this node. *)
 
-val remove_stitch : t -> Lipsin_bloom.Lit.t -> unit
-(** Removes stitch entries installed for this identity (by nonce). *)
+val remove_stitch : t -> nonce:int64 -> unit
+(** Removes the stitch entries installed under this egress nonce — all
+    a removal needs, so callers skip re-deriving the LIT. *)
+
+val stitch_entries : t -> (Lipsin_bitvec.Bitvec.t array * int * int) list
+(** The stitch entries as [(tags per table, partition id, next stage)],
+    newest first — [(state t).state_stitches] without snapshotting the
+    rest of the engine. *)
 
 val virtual_count : t -> int
 

@@ -9,11 +9,15 @@ module Obs = Lipsin_obs.Obs
    seen-link bitmaps are reset in O(touched) via the touched stacks, the
    BFS frontier is a flat ring (each link is traversed at most once in
    Expand_once mode, so [link_count + 1] slots bound it), and compiled
-   engines are pinned per node so the hot loop never consults the Net's
-   lazy caches.  The result: [deliver] is a certified [@lipsin.noalloc]
-   root — zero minor words per publication in steady state.  A sampled
-   publication runs the same loop and additionally records one trace
-   event per dequeued node; only that branch allocates. *)
+   engines are pinned per node (all up front by [warm], or each on its
+   first visit) so the steady-state loop never consults the Net's lazy
+   caches.  Matched stitch entries land in recycled hit buffers,
+   sized at pin time from the pinned engines' stitch counts.  The
+   result: [deliver] is a certified [@lipsin.noalloc] root — zero minor
+   words per publication in steady state.  A node's first visit (which
+   compiles and pins it) and a sampled publication (which additionally
+   records one trace event per dequeued node) are the only branches
+   that allocate. *)
 
 type t = {
   net : Net.t;
@@ -26,6 +30,11 @@ type t = {
   use_bits : bool array;
   mutable warm_code : int;  (* 0 cold, 1 `Fast, 2 `Bitsliced, 3 `Auto *)
   mutable warm_generation : int;
+  in_degree : int array;
+  hit_bound : int array;
+      (* per node: pinned stitch entries * (in-degree + 1), the most
+         hits its dequeues can add to one expand-once delivery *)
+  mutable hit_cap : int;  (* sum of [hit_bound] *)
   (* recycled delivery set: reached bitmap + touched stack + the depth
      at which each node was first reached (latency histogram feed) *)
   reached : bool array;
@@ -55,13 +64,21 @@ type t = {
   mutable local_deliveries : int;
   mutable deliveries : int;
   mutable over_delivery : int;
-  mutable stitch_matches : int;
+  (* matched stitch entries, in dequeue order: (node, partition, next) *)
+  mutable hit_node : int array;
+  mutable hit_partition : int array;
+  mutable hit_next : int array;
+  mutable n_hits : int;
 }
 
 let create net =
   let graph = Net.graph net in
   let n_nodes = Graph.node_count graph in
   let n_links = Graph.link_count graph in
+  let in_degree = Array.make n_nodes 0 in
+  Array.iter
+    (fun l -> in_degree.(l.Graph.dst) <- in_degree.(l.Graph.dst) + 1)
+    (Graph.links graph);
   {
     net;
     graph;
@@ -72,6 +89,9 @@ let create net =
     use_bits = Array.make n_nodes false;
     warm_code = 0;
     warm_generation = -1;
+    in_degree;
+    hit_bound = Array.make n_nodes 0;
+    hit_cap = 0;
     reached = Array.make n_nodes false;
     touched_nodes = Array.make n_nodes 0;
     reach_depth = Array.make n_nodes 0;
@@ -95,44 +115,102 @@ let create net =
     local_deliveries = 0;
     deliveries = 0;
     over_delivery = 0;
-    stitch_matches = 0;
+    hit_node = [||];
+    hit_partition = [||];
+    hit_next = [||];
+    n_hits = 0;
   }
 
 let net a = a.net
 
 let code_of_engine = function `Fast -> 1 | `Bitsliced -> 2 | `Auto -> 3
 
-(* Pin every node's compiled engine up front: one batch of compiles per
-   (engine, Net generation) instead of a lazy cache miss inside the hot
-   loop — the compile-amortisation BENCH_PR6 asked for, and the reason
-   [deliver] can stay allocation-free. *)
-let warm a engine =
-  let g = a.graph in
-  for v = 0 to a.n_nodes - 1 do
-    let ub =
-      match engine with
-      | `Bitsliced -> true
-      | `Fast -> false
-      | `Auto -> Graph.out_degree g v >= Bitsliced.auto_threshold
-    in
-    a.use_bits.(v) <- ub;
-    if ub then begin
-      a.bits.(v) <- Some (Net.bitsliced a.net v);
-      a.fps.(v) <- None
+(* Pin node [v]'s current compiled engine (of the kind [use_bits]
+   already chose) and account its stitch entries in the hit bound. *)
+let pin a v =
+  let n_stitch =
+    if a.use_bits.(v) then begin
+      let b = Net.bitsliced a.net v in
+      a.bits.(v) <- Some b;
+      a.fps.(v) <- None;
+      Bitsliced.stitch_count b
     end
     else begin
-      a.fps.(v) <- Some (Net.fastpath a.net v);
-      a.bits.(v) <- None
+      let f = Net.fastpath a.net v in
+      a.fps.(v) <- Some f;
+      a.bits.(v) <- None;
+      Fastpath.stitch_count f
     end
+  in
+  let bound = n_stitch * (a.in_degree.(v) + 1) in
+  a.hit_cap <- a.hit_cap - a.hit_bound.(v) + bound;
+  a.hit_bound.(v) <- bound
+
+let[@lipsin.noalloc] pinned a v =
+  if Array.get a.use_bits v then
+    match Array.get a.bits v with None -> false | Some _ -> true
+  else match Array.get a.fps v with None -> false | Some _ -> true
+
+(* The hit buffers always hold [hit_cap] entries, so the kernel never
+   checks capacity; growing keeps the hits already collected (a node
+   pinned mid-delivery grows them). *)
+let fit_hits a =
+  if a.hit_cap > Array.length a.hit_node then begin
+    let cap = max a.hit_cap (2 * Array.length a.hit_node) in
+    let grow b =
+      let b' = Array.make cap 0 in
+      Array.blit b 0 b' 0 a.n_hits;
+      b'
+    in
+    a.hit_node <- grow a.hit_node;
+    a.hit_partition <- grow a.hit_partition;
+    a.hit_next <- grow a.hit_next
+  end
+
+(* Choose each node's engine kind for [engine] and unpin every node;
+   nodes then pin on their first visit. *)
+let select a engine =
+  let g = a.graph in
+  for v = 0 to a.n_nodes - 1 do
+    a.use_bits.(v) <-
+      (match engine with
+      | `Bitsliced -> true
+      | `Fast -> false
+      | `Auto -> Graph.out_degree g v >= Bitsliced.auto_threshold);
+    a.fps.(v) <- None;
+    a.bits.(v) <- None;
+    a.hit_bound.(v) <- 0
   done;
+  a.hit_cap <- 0;
   a.warm_code <- code_of_engine engine;
   a.warm_generation <- Net.generation a.net
 
+(* Pin every node's compiled engine up front: one batch of compiles per
+   engine choice instead of a compile on a node's first visit — the
+   compile-amortisation BENCH_PR6 asked for. *)
+let warm a engine =
+  select a engine;
+  for v = 0 to a.n_nodes - 1 do
+    pin a v
+  done;
+  fit_hits a
+
+let repin a v = if pinned a v then pin a v
+
+(* Same engine choice, newer Net: re-pin just the pinned nodes the
+   Net's change log names (a link flap or stitch patch touches one
+   node), keeping each node's [use_bits]; check every node when the log
+   no longer reaches back. *)
 let prepare a engine =
-  if
-    a.warm_code <> code_of_engine engine
-    || a.warm_generation <> Net.generation a.net
-  then warm a engine
+  if a.warm_code <> code_of_engine engine then select a engine
+  else if a.warm_generation <> Net.generation a.net then begin
+    if not (Net.changed_since a.net a.warm_generation (repin a)) then
+      for v = 0 to a.n_nodes - 1 do
+        repin a v
+      done;
+    fit_hits a;
+    a.warm_generation <- Net.generation a.net
+  end
 
 (* Swapping the intended tree clears the previous tree's bits; the
    common soak case (same physical tree object) is free.
@@ -188,7 +266,7 @@ let[@lipsin.noalloc] reset a =
   a.local_deliveries <- 0;
   a.deliveries <- 0;
   a.over_delivery <- 0;
-  a.stitch_matches <- 0
+  a.n_hits <- 0
 
 (* One admitted copy on the link with dense index [li] towards [dst],
    decided at hop [depth] — the recycled mirror of Run.deliver's
@@ -228,30 +306,44 @@ let trace_kind = function
    Run.deliver records: the links this node's fan-out enqueued are the
    ring slice [q_in.(q0) .. q_in.(q_tail - 1)], and it raised a false
    positive iff the tally moved past [fp0]. *)
-let record_hop a ~packet ~table ~engine ~drop ~loop_suspected
+let record_hop a ~packet ~table ~stage ~engine ~drop ~loop_suspected
     ~deliver_local ~node ~in_link ~depth ~q0 ~fp0 =
-  Obs.Trace.record (Obs.Trace.local ()) ~table ~engine ~depth ~packet ~node
-    ~in_link ~kind:(trace_kind drop)
+  Obs.Trace.record (Obs.Trace.local ()) ~table ~engine ~stage ~depth ~packet
+    ~node ~in_link ~kind:(trace_kind drop)
     ~out_links:(Array.sub a.q_in q0 (a.q_tail - q0))
     ~false_positive:(a.false_positives > fp0)
     ~loop_suspected ~deliver_local ~ttl_expired:0
 
-(* Expand-once BFS over the pinned compiled engines.  Stitch payloads
-   are tallied but not collected (staged delivery goes through
-   Stitched.deliver, which needs the full Run.deliver outcome).
-   [packet] is the sampled publication id, or -1 when not traced. *)
-let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
+(* One matched stitch entry, appended to the hit buffers ([pin] sized
+   them for every dequeue this delivery can make). *)
+let[@lipsin.noalloc] add_hit a node partition next =
+  let k = a.n_hits in
+  Array.set a.hit_node k node;
+  Array.set a.hit_partition k partition;
+  Array.set a.hit_next k next;
+  a.n_hits <- k + 1
+
+(* Expand-once BFS over the pinned compiled engines, collecting stitch
+   hits in dequeue order (Run.deliver's [stitch_hits] order).  [packet]
+   is the sampled publication id, or -1 when not traced; [stage] tags
+   its trace events. *)
+let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet ~stage =
   while a.q_head < a.q_tail do
     let h = a.q_head in
     a.q_head <- h + 1;
     let node = Array.get a.q_node h in
     let in_link_index = Array.get a.q_in h in
     let depth = Array.get a.q_depth h in
+    if not (pinned a node) then begin
+      pin a node;
+      fit_hits a
+    end
+    [@lipsin.allow_alloc "first visit to a node compiles and pins its engine"];
     let q0 = a.q_tail in
     let fp0 = a.false_positives in
     if Array.get a.use_bits node then begin
       match Array.get a.bits node with
-      | None -> ()  (* unreachable after [warm]; dropping is the safe miss *)
+      | None -> ()  (* unreachable: pinned above *)
       | Some bs ->
         let d = Bitsliced.decide bs ~table ~zfilter ~in_link_index in
         a.membership_tests <- a.membership_tests + d.Bitsliced.tests;
@@ -261,7 +353,11 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
           a.fill_drops <- a.fill_drops + 1
         else if d.Bitsliced.drop = Bitsliced.drop_loop then
           a.loop_drops <- a.loop_drops + 1;
-        a.stitch_matches <- a.stitch_matches + d.Bitsliced.n_stitch;
+        for i = 0 to d.Bitsliced.n_stitch - 1 do
+          let s = Array.get d.Bitsliced.stitches i in
+          add_hit a node (Bitsliced.stitch_partition bs s)
+            (Bitsliced.stitch_next bs s)
+        done;
         let fwd = d.Bitsliced.forward in
         for i = 0 to d.Bitsliced.n_forward - 1 do
           let p = Array.get fwd i in
@@ -269,7 +365,7 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
             depth
         done;
         if packet >= 0 then
-          (record_hop a ~packet ~table ~engine:Obs.Trace.engine_bitsliced
+          (record_hop a ~packet ~table ~stage ~engine:Obs.Trace.engine_bitsliced
              ~drop:(Bitsliced.drop_reason d)
              ~loop_suspected:d.Bitsliced.loop_suspected
              ~deliver_local:d.Bitsliced.deliver_local ~node
@@ -288,7 +384,11 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
           a.fill_drops <- a.fill_drops + 1
         else if d.Fastpath.drop = Fastpath.drop_loop then
           a.loop_drops <- a.loop_drops + 1;
-        a.stitch_matches <- a.stitch_matches + d.Fastpath.n_stitch;
+        for i = 0 to d.Fastpath.n_stitch - 1 do
+          let s = Array.get d.Fastpath.stitches i in
+          add_hit a node (Fastpath.stitch_partition fp s)
+            (Fastpath.stitch_next fp s)
+        done;
         let fwd = d.Fastpath.forward in
         for i = 0 to d.Fastpath.n_forward - 1 do
           let p = Array.get fwd i in
@@ -296,7 +396,7 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
             depth
         done;
         if packet >= 0 then
-          (record_hop a ~packet ~table ~engine:Obs.Trace.engine_fast
+          (record_hop a ~packet ~table ~stage ~engine:Obs.Trace.engine_fast
              ~drop:(Fastpath.drop_reason d)
              ~loop_suspected:d.Fastpath.loop_suspected
              ~deliver_local:d.Fastpath.deliver_local ~node
@@ -305,7 +405,7 @@ let[@lipsin.noalloc] run_queue a ~table ~zfilter ~packet =
     end
   done
 
-let[@lipsin.noalloc] deliver a ~trace ~src ~table ~zfilter =
+let[@lipsin.noalloc] deliver a ~trace ~stage ~src ~table ~zfilter =
   reset a;
   Array.set a.q_node 0 src;
   Array.set a.q_in 0 (-1);
@@ -318,7 +418,7 @@ let[@lipsin.noalloc] deliver a ~trace ~src ~table ~zfilter =
   let packet =
     if trace.Obs.Trace.tc_sampled then trace.Obs.Trace.tc_packet else -1
   in
-  run_queue a ~table ~zfilter ~packet
+  run_queue a ~table ~zfilter ~packet ~stage
 
 let rec under_count traversed acc links =
   match links with

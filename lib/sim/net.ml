@@ -34,9 +34,24 @@ type t = {
   fastpaths : Fastpath.t option array;
   bitsliceds : Bitsliced.t option array;
   mutable generation : int;
-      (* bumped whenever a cached compilation is dropped, so holders of
-         compiled-engine snapshots (Arena) can detect staleness cheaply *)
+      (* bumped whenever a node's cached compilation is dropped or
+         patched, so holders of compiled-engine snapshots (Arena) can
+         detect staleness cheaply *)
+  changes : int array;
+      (* ring log: [changes.(g land (length - 1))] is the node whose
+         change produced generation [g]; lets a holder re-pin just the
+         nodes that changed since its snapshot *)
 }
+
+(* The change log holds at least one entry per node, so a holder that
+   falls further behind than the log reaches re-reads every node, which
+   costs no more than replaying the log would. *)
+let log_capacity n =
+  let c = ref 64 in
+  while !c < n do
+    c := 2 * !c
+  done;
+  !c
 
 let make ?fill_limit ?(loop_prevention = true) assignment =
   let n = Graph.node_count (Assignment.graph assignment) in
@@ -48,6 +63,7 @@ let make ?fill_limit ?(loop_prevention = true) assignment =
     fastpaths = Array.make n None;
     bitsliceds = Array.make n None;
     generation = 0;
+    changes = Array.make (log_capacity n) 0;
   }
 
 let assignment t = t.assignment
@@ -73,6 +89,19 @@ let engine t node =
 
 let engine_of = engine
 
+let note_change t node =
+  t.generation <- t.generation + 1;
+  t.changes.(t.generation land (Array.length t.changes - 1)) <- node
+
+let changed_since t g f =
+  if t.generation - g > Array.length t.changes then false
+  else begin
+    for i = g + 1 to t.generation do
+      f t.changes.(i land (Array.length t.changes - 1))
+    done;
+    true
+  end
+
 (* Debug guardrail: with LIPSIN_FASTPATH_AUDIT set, every compile is
    re-verified against the blob-layout invariants before it can serve a
    decision.  Read per compile (compiles are rare) so no global state is
@@ -80,20 +109,28 @@ let engine_of = engine
    delivery path. *)
 let audit_enabled () = Sys.getenv_opt "LIPSIN_FASTPATH_AUDIT" <> None
 
+let check_audit what node violations =
+  match violations with
+  | [] -> ()
+  | violations ->
+    invalid_arg
+      (Printf.sprintf "Net.%s: audit of node %d's compile failed: %s" what node
+         (String.concat "; " (List.map Lipsin_analysis.Audit.to_string violations)))
+
+let audited_fastpath node f =
+  if audit_enabled () then check_audit "fastpath" node (Lipsin_analysis.Audit.audit f);
+  f
+
+let audited_bitsliced node b =
+  if audit_enabled () then
+    check_audit "bitsliced" node (Lipsin_analysis.Audit.audit_bitsliced b);
+  b
+
 let fastpath t node =
   match t.fastpaths.(node) with
   | Some f -> f
   | None ->
-    let f = Fastpath.compile (engine t node) in
-    if audit_enabled () then begin
-      match Lipsin_analysis.Audit.audit f with
-      | [] -> ()
-      | violations ->
-        invalid_arg
-          (Printf.sprintf "Net.fastpath: audit of node %d's compile failed: %s" node
-             (String.concat "; "
-                (List.map Lipsin_analysis.Audit.to_string violations)))
-    end;
+    let f = audited_fastpath node (Fastpath.compile (engine t node)) in
     t.fastpaths.(node) <- Some f;
     Obs.Counter.incr m_fastpath_compiles;
     f
@@ -102,17 +139,7 @@ let bitsliced t node =
   match t.bitsliceds.(node) with
   | Some b -> b
   | None ->
-    let b = Bitsliced.compile (engine t node) in
-    if audit_enabled () then begin
-      match Lipsin_analysis.Audit.audit_bitsliced b with
-      | [] -> ()
-      | violations ->
-        invalid_arg
-          (Printf.sprintf "Net.bitsliced: audit of node %d's compile failed: %s"
-             node
-             (String.concat "; "
-                (List.map Lipsin_analysis.Audit.to_string violations)))
-    end;
+    let b = audited_bitsliced node (Bitsliced.compile (engine t node)) in
     t.bitsliceds.(node) <- Some b;
     Obs.Counter.incr m_bitsliced_compiles;
     b
@@ -122,19 +149,46 @@ let invalidate_fastpath t node =
     Obs.Counter.incr m_invalidations;
   t.fastpaths.(node) <- None;
   t.bitsliceds.(node) <- None;
-  t.generation <- t.generation + 1
+  note_change t node
 
+(* A stitch change touches only the stitch section of a compiled
+   engine, so cached compilations are patched rather than dropped (an
+   uncached one compiles from the updated engine when first asked). *)
+let patch_stitches t node =
+  let e = engine t node in
+  (match t.fastpaths.(node) with
+  | Some f ->
+    t.fastpaths.(node) <- Some (audited_fastpath node (Fastpath.patch_stitches f e))
+  | None -> ());
+  (match t.bitsliceds.(node) with
+  | Some b ->
+    t.bitsliceds.(node) <- Some (audited_bitsliced node (Bitsliced.patch_stitches b e))
+  | None -> ());
+  note_change t node
+
+let install_stitch t node lit ~partition ~next =
+  Node_engine.install_stitch (engine t node) lit ~partition ~next;
+  patch_stitches t node
+
+let remove_stitch t node ~nonce =
+  Node_engine.remove_stitch (engine t node) ~nonce;
+  patch_stitches t node
+
+(* Only the loop caches read an engine's clock, so a net without loop
+   prevention has nothing to advance. *)
 let tick t =
   Obs.Counter.incr m_ticks;
-  Array.iter
-    (function Some e -> Node_engine.tick e | None -> ())
-    t.engines;
-  Array.iter
-    (function Some f -> Fastpath.tick f | None -> ())
-    t.fastpaths;
-  Array.iter
-    (function Some b -> Bitsliced.tick b | None -> ())
-    t.bitsliceds
+  if t.loop_prevention then begin
+    Array.iter
+      (function Some e -> Node_engine.tick e | None -> ())
+      t.engines;
+    Array.iter
+      (function Some f -> Fastpath.tick f | None -> ())
+      t.fastpaths;
+    Array.iter
+      (function Some b -> Bitsliced.tick b | None -> ())
+      t.bitsliceds
+  end
 
 let fail_link t link =
   Node_engine.fail_link (engine t link.Graph.src) link;

@@ -22,10 +22,18 @@ val assignment : t -> Lipsin_core.Assignment.t
 val graph : t -> Lipsin_topology.Graph.t
 
 val generation : t -> int
-(** Monotone invalidation stamp: bumped every time a cached compilation
-    is dropped ({!invalidate_fastpath}, {!fail_link}, {!restore_link}).
+(** Monotone change stamp: bumped once per change to a node's cached
+    compilations — dropped ({!invalidate_fastpath}, {!fail_link},
+    {!restore_link}) or patched ({!install_stitch}, {!remove_stitch}).
     Holders of compiled-engine snapshots ({!Arena}) compare stamps to
     detect staleness without re-reading every cache slot. *)
+
+val changed_since : t -> int -> (Lipsin_topology.Graph.node -> unit) -> bool
+(** [changed_since t g f] calls [f] on every node whose compilations
+    changed after generation [g] (a node may come more than once) and
+    returns [true]; it returns [false] without calling [f] when the
+    change log no longer reaches back to [g] (it keeps at least one
+    entry per node), and the holder must re-read every node. *)
 
 val loop_prevention : t -> bool
 (** Whether engines created by this net keep a loop-prevention cache
@@ -63,10 +71,25 @@ val invalidate_fastpath : t -> Lipsin_topology.Graph.node -> unit
     and the bit-sliced engine) so the next {!fastpath} / {!bitsliced}
     call recompiles from the engine's current state. *)
 
+val install_stitch :
+  t -> Lipsin_topology.Graph.node -> Lipsin_bloom.Lit.t -> partition:int ->
+  next:int -> unit
+(** Registers a partition stitch entry at the node's engine
+    ({!Lipsin_forwarding.Node_engine.install_stitch}) and patches the
+    node's cached compilations in place of a recompile
+    ({!Lipsin_forwarding.Fastpath.patch_stitches},
+    {!Lipsin_forwarding.Bitsliced.patch_stitches}; audited under
+    [LIPSIN_FASTPATH_AUDIT] like a compile).  Bumps {!generation}. *)
+
+val remove_stitch : t -> Lipsin_topology.Graph.node -> nonce:int64 -> unit
+(** Removes the node's stitch entries installed under this egress nonce
+    and patches its cached compilations like {!install_stitch}. *)
+
 val tick : t -> unit
 (** Advances every instantiated engine's clock (ages loop caches).
     {!Run.deliver}, {!Timed.deliver} and the control plane call this
-    once per packet flight. *)
+    once per packet flight.  Only loop caches read the clock, so on a
+    net without loop prevention only [lipsin_net_ticks_total] moves. *)
 
 val fail_link : t -> Lipsin_topology.Graph.link -> unit
 (** Convenience: marks the link down at its source engine. *)

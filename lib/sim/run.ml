@@ -340,8 +340,8 @@ let arena_obs (a : Arena.t) ~table ~packet ~flight ~t0 =
       ()
   end
 
-let deliver_into ?(engine = `Fast) ?(trace = Obs.Trace.off) scratch ~src
-    ~table ~zfilter ~tree =
+let deliver_into ?(engine = `Fast) ?(trace = Obs.Trace.off) ?(stage = -1)
+    scratch ~src ~table ~zfilter ~tree =
   Arena.set_tree scratch tree;
   Net.tick (Arena.net scratch);
   Arena.prepare scratch engine;
@@ -351,7 +351,7 @@ let deliver_into ?(engine = `Fast) ?(trace = Obs.Trace.off) scratch ~src
   in
   let flight = packet >= 0 || (obs && Obs.Flight.want_note ()) in
   let t0 = if flight then Unix.gettimeofday () else 0.0 in
-  Arena.deliver scratch ~trace ~src ~table ~zfilter;
+  Arena.deliver scratch ~trace ~stage ~src ~table ~zfilter;
   if obs then arena_obs scratch ~table ~packet ~flight ~t0
 
 let verify_trace net outcome =

@@ -84,6 +84,7 @@ val deliver :
 val deliver_into :
   ?engine:[ `Fast | `Bitsliced | `Auto ] ->
   ?trace:Lipsin_obs.Obs.Trace.ctx ->
+  ?stage:int ->
   Arena.t ->
   src:Lipsin_topology.Graph.node ->
   table:int ->
@@ -95,11 +96,13 @@ val deliver_into :
     recycled loop ({!Arena.deliver}) and writes the delivery set and all
     outcome tallies into [scratch] instead of allocating an {!outcome}.
     Unsampled publications cost ~0 minor words versus ~6.8k for
-    {!deliver} (BENCH_PR4 vs BENCH_PR10).
+    {!deliver} (BENCH_PR4 vs BENCH_PR10).  Matched stitch entries are
+    left in the arena's hit buffers ({!Arena.t}[.n_hits]).
 
     [engine] defaults to [`Fast].  With a sampled [trace] context the
     same loop also records the per-hop trace events {!deliver} would
-    record, under [trace.tc_packet].  Counter totals, Obs counter deltas
+    record, under [trace.tc_packet], tagged with [stage] as in
+    {!deliver}.  Counter totals, Obs counter deltas
     and the delivery set are bit-for-bit identical to {!deliver} with
     the same engine and context — the differential suite in
     [test/test_service.ml] pins this.  The reference engine, TTL mode

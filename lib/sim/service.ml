@@ -99,6 +99,8 @@ type t = {
   cursors : int Atomic.t array;  (* per-shard claim cursor (next job) *)
   his : int array;  (* per-shard exclusive upper bound; set under [mu] *)
   mutable active : int;  (* workers still in the current batch *)
+  mutable failure : (exn * Printexc.raw_backtrace) option;
+      (* the first exception a worker raised in the current batch *)
   mutable registered : int;
   slots : wctx option array;  (* worker contexts, published under [mu] *)
   mutable domains : unit Domain.t array;
@@ -128,6 +130,11 @@ let stitched_of t w =
         invalid_arg "Service: no adaptive family"
     in
     let s = Stitched.make ~loop_prevention:t.loop_prevention ad in
+    (* Warm every width as the worker's own arena is, so steady-state
+       batches compile nothing. *)
+    (match t.engine with
+    | `Reference -> ()
+    | (`Fast | `Bitsliced | `Auto) as e -> Stitched.warm s e);
     w.w_stitched <- Some s;
     s
 
@@ -196,9 +203,14 @@ let exec_one t w i =
   | Exec_partition (parts, f) ->
     let s = stitched_of t w in
     let p = Array.get parts i in
-    Stitched.install s p;
-    let o = Stitched.deliver ~engine:t.engine s p in
-    Stitched.uninstall s p;
+    (* A raising publication must not leave its entries installed. *)
+    let o =
+      Fun.protect
+        ~finally:(fun () -> Stitched.uninstall s p)
+        (fun () ->
+          Stitched.install s p;
+          Stitched.deliver ~engine:t.engine s p)
+    in
     w.w_traversals <- w.w_traversals + o.Stitched.link_traversals;
     w.w_fps <- w.w_fps + o.Stitched.false_positives;
     w.w_tests <- w.w_tests + o.Stitched.membership_tests;
@@ -296,9 +308,17 @@ let worker_main t id =
     else begin
       reset_wctx w;
       let m0 = Gc.minor_words () in
-      work_batch t w;
+      (* A raising job ends this worker's part of the batch (the other
+         workers still drain its shard) but never the handshake: the
+         dispatcher re-raises the first failure and the pool lives on. *)
+      let failed =
+        match work_batch t w with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
       w.w_minor <- Gc.minor_words () -. m0;
       Mutex.protect t.mu (fun () ->
+          if t.failure = None then t.failure <- failed;
           t.active <- t.active - 1;
           if t.active = 0 then Condition.broadcast t.cv_done)
     end
@@ -330,6 +350,7 @@ let create ?workers ?(engine = `Fast) ?(loop_prevention = false) ?adaptive
       cursors = Array.init n_workers (fun _ -> Atomic.make 0);
       his = Array.make n_workers 0;
       active = 0;
+      failure = None;
       registered = 0;
       slots = Array.make n_workers None;
       domains = [||];
@@ -393,7 +414,10 @@ let dispatch t ~n exec_v =
     Condition.wait t.cv_done t.mu
   done;
   t.exec <- Exec_none;
+  let failure = t.failure in
+  t.failure <- None;
   Mutex.unlock t.mu;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure;
   let elapsed = Unix.gettimeofday () -. t0 in
   let st = ref (zero_stats ~workers:t.n_workers ~elapsed) in
   Array.iter

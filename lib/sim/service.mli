@@ -84,6 +84,12 @@ val run : t -> job array -> stats
 (** Delivers every job, counters only — the sustained-throughput entry
     point ([bench --soak] drives tens of millions of publications
     through it in one process).
+
+    A job that raises (say, a zFilter of the wrong width) ends its
+    worker's part of the batch; the other workers finish the rest, and
+    [run] re-raises the first such exception once every worker is done.
+    The pool stays usable.  The same holds for {!run_collect} and
+    {!run_partitioned}.
     @raise Invalid_argument after {!shutdown}. *)
 
 val run_collect : t -> job array -> f:(int -> Run.outcome -> unit) -> stats
@@ -94,8 +100,10 @@ val run_collect : t -> job array -> f:(int -> Run.outcome -> unit) -> stats
 val run_partitioned :
   t -> Lipsin_bloom.Partition.t array -> f:(int -> Stitched.outcome -> unit) -> stats
 (** Staged (partitioned-zFilter) deliveries: each worker lazily builds
-    its own {!Stitched} family from [adaptive], installs the partition,
-    delivers, uninstalls, and invokes [f] on the worker domain.
+    its own {!Stitched} family from [adaptive] (on the compiled engines
+    with every width warmed, {!Stitched.warm}), installs the partition,
+    delivers, uninstalls (also when the delivery raises), and invokes
+    [f] on the worker domain.
     @raise Invalid_argument if the service was created without
     [~adaptive]. *)
 

@@ -9,8 +9,17 @@
     module owns the runtime side: one {!Net} per filter width (all
     views of the same {!Lipsin_core.Adaptive} family, so every width
     shares the per-link nonces), stitch-entry installation, and the
-    staged delivery loop that follows the data plane's stitch hits
-    from {!Run.outcome}. *)
+    staged delivery loop that follows the data plane's stitch hits.
+
+    On the compiled engines every stage runs in the width's
+    {!Arena} (created on the width's first compiled stage; a node's
+    engine is pinned on its first visit, or all up front by {!warm}),
+    whose kernel collects the stitch hits; installing or removing a
+    stitch entry patches the node's compiled engines
+    ({!Net.install_stitch}) and the arena re-pins just that node, so a
+    warm stitched publication compiles nothing.  The [`Reference]
+    engine runs each stage through {!Run.deliver} and stays the
+    oracle. *)
 
 type t
 
@@ -24,11 +33,17 @@ val net : t -> m:int -> Net.t
 (** The width-[m] network view.
     @raise Invalid_argument for a width outside the family. *)
 
+val warm : t -> [ `Fast | `Bitsliced | `Auto ] -> unit
+(** Pins every node's compiled engine in every width's arena
+    ({!Arena.warm}), so compiled-engine deliveries compile nothing from
+    then on.  Without it each node compiles on its first visit, and
+    memory follows the nodes deliveries reach. *)
+
 val install : t -> Lipsin_bloom.Partition.t -> unit
 (** Installs every stage's stitch entries: for each handoff of stage
     [p] at node [u], the entry lives in the width-[p.m] net at [u],
-    keyed by the LIT derived from [p]'s egress nonce.  Compiled-engine
-    caches at touched nodes are invalidated. *)
+    keyed by the LIT derived from [p]'s egress nonce.  Compiled engines
+    at touched nodes are patched, not recompiled ({!Net.install_stitch}). *)
 
 val uninstall : t -> Lipsin_bloom.Partition.t -> unit
 (** Removes the partition's stitch entries (matched by egress nonce). *)
@@ -71,12 +86,14 @@ type outcome = {
           or clean. *)
 }
 
-val deliver :
-  ?mode:Run.mode -> ?engine:Run.engine -> t -> Lipsin_bloom.Partition.t -> outcome
+val deliver : ?engine:Run.engine -> t -> Lipsin_bloom.Partition.t -> outcome
 (** Runs the staged delivery: stage 0 is published at the partition
     root, and every stitch hit reported by the data plane activates the
     named stage at its own root (once — duplicates are counted, not
-    followed).  Stages must be installed first ({!install}); a
+    followed).  [engine] defaults to [`Reference] ({!Run.deliver} per
+    stage); the compiled engines run each stage through
+    {!Run.deliver_into} on the width's arena, with the same outcome,
+    Obs counters and trace events bit for bit.  Stages must be installed first ({!install}); a
     partition that was never installed simply strands all non-root
     stages ([missed_stages]). *)
 

@@ -17,7 +17,11 @@ module Adaptive = Lipsin_core.Adaptive
 module Stagecut = Lipsin_core.Stagecut
 module Persist = Lipsin_core.Persist
 module Node_engine = Lipsin_forwarding.Node_engine
+module Fastpath = Lipsin_forwarding.Fastpath
 module Bitsliced = Lipsin_forwarding.Bitsliced
+module Net = Lipsin_sim.Net
+module Run = Lipsin_sim.Run
+module Arena = Lipsin_sim.Arena
 module Stitched = Lipsin_sim.Stitched
 module Netcheck = Lipsin_analysis.Netcheck
 module Audit = Lipsin_analysis.Audit
@@ -139,6 +143,142 @@ let prop_engines_agree =
           let oauto = Stitched.deliver ~engine:`Auto st part in
           same "auto" oauto oref;
           true))
+
+(* Stitch installs and removals patch the compiled engines in place of
+   a recompile, and arenas re-pin just the patched nodes.  After any
+   random sequence, every arena's pinned engine at a touched node must
+   be indistinguishable from a fresh compile of the same Node_engine:
+   equal digest (and a recomputed digest equal to the recorded one), a
+   clean audit, and the same verdict on random zFilters. *)
+let prop_stitch_patch_matches_compile =
+  QCheck.Test.make
+    ~name:"patched stitch entries == fresh compile (digest, audit, decisions)"
+    ~count:12
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(1 -- 20) (triple bool small_nat small_nat)))
+    (fun (seed, ops) ->
+      let g, _ =
+        Scenario.two_tier ~seed:(seed + 400) ~core:10 ~core_edges:20
+          ~max_degree:40 ~hosts:90 ()
+      in
+      let adaptive = Adaptive.make ~d:4 ~k:5 (Rng.of_int (seed + 401)) g in
+      let m = List.hd (List.rev (Adaptive.widths adaptive)) in
+      let asg = Adaptive.assignment adaptive ~m in
+      let params = Assignment.params asg in
+      let net = Net.make ~loop_prevention:false asg in
+      let arenas =
+        List.map
+          (fun e ->
+            let a = Arena.create net in
+            Arena.warm a e;
+            (e, a))
+          [ `Fast; `Bitsliced; `Auto ]
+      in
+      (* The highest-degree nodes (bit-sliced under `Auto) plus a host. *)
+      let by_degree =
+        List.sort
+          (fun a b -> Int.compare (Graph.out_degree g b) (Graph.out_degree g a))
+          (List.init (Graph.node_count g) Fun.id)
+      in
+      let cands =
+        Array.of_list
+          (List.filteri (fun i _ -> i < 6) by_degree
+          @ [ List.nth by_degree (Graph.node_count g - 1) ])
+      in
+      let lits =
+        Array.init 5 (fun i ->
+            Partition.egress_lit params ~nonce:(Int64.of_int ((seed * 8) + i + 1)))
+      in
+      let touched = ref [] in
+      List.iter
+        (fun (install, v, k) ->
+          let node = cands.(v mod Array.length cands) in
+          let lit = lits.(k mod Array.length lits) in
+          touched := node :: !touched;
+          if install then
+            Net.install_stitch net node lit ~partition:(k mod 3) ~next:k
+          else Net.remove_stitch net node ~nonce:(Lit.nonce lit))
+        ops;
+      let rng = Rng.of_int (seed + 402) in
+      let links = Graph.links g in
+      let zfilters =
+        List.init 24 (fun _ ->
+            let table = Rng.int rng params.Lit.d in
+            let tags =
+              List.init
+                (1 + Rng.int rng 4)
+                (fun _ ->
+                  if Rng.int rng 2 = 0 then
+                    (Lit.tags lits.(Rng.int rng (Array.length lits))).(table)
+                  else
+                    (Lit.tags
+                       (Assignment.lit asg
+                          links.(Rng.int rng (Array.length links)))).(table))
+            in
+            (table, Zfilter.of_tags ~m tags))
+      in
+      let same_verdict v (a : Node_engine.verdict) (b : Node_engine.verdict) =
+        let idx l = List.map (fun l -> l.Graph.index) l in
+        if idx a.Node_engine.forward_on <> idx b.Node_engine.forward_on then
+          QCheck.Test.fail_reportf "node %d: forwarding differs" v;
+        if a.Node_engine.stitches_matched <> b.Node_engine.stitches_matched then
+          QCheck.Test.fail_reportf "node %d: stitch matches differ" v;
+        if a.Node_engine.deliver_local <> b.Node_engine.deliver_local
+           || a.Node_engine.false_positive_tests
+              <> b.Node_engine.false_positive_tests
+        then QCheck.Test.fail_reportf "node %d: local/tests differ" v
+      in
+      List.iter
+        (fun (e, a) ->
+          Arena.prepare a e;
+          List.iter
+            (fun v ->
+              let engine = Net.engine net v in
+              match (a.Arena.fps.(v), a.Arena.bits.(v)) with
+              | Some f, _ ->
+                let fresh = Fastpath.compile engine in
+                let d = (Fastpath.view f).Fastpath.view_digest in
+                if d <> (Fastpath.view fresh).Fastpath.view_digest
+                   || d <> Fastpath.digest f
+                then QCheck.Test.fail_reportf "node %d: fast digest differs" v;
+                if not (Audit.audit_ok f) then
+                  QCheck.Test.fail_reportf "node %d: fast audit" v;
+                List.iter
+                  (fun (table, zfilter) ->
+                    let got =
+                      Fastpath.verdict f
+                        (Fastpath.decide f ~table ~zfilter ~in_link_index:(-1))
+                    in
+                    same_verdict v got
+                      (Fastpath.verdict fresh
+                         (Fastpath.decide fresh ~table ~zfilter
+                            ~in_link_index:(-1))))
+                  zfilters
+              | None, Some b ->
+                let fresh = Bitsliced.compile engine in
+                let d = (Bitsliced.view b).Bitsliced.view_digest in
+                if d <> (Bitsliced.view fresh).Bitsliced.view_digest
+                   || d <> Bitsliced.digest b
+                then
+                  QCheck.Test.fail_reportf "node %d: bitsliced digest differs" v;
+                if not (Audit.audit_bitsliced_ok b) then
+                  QCheck.Test.fail_reportf "node %d: bitsliced audit" v;
+                List.iter
+                  (fun (table, zfilter) ->
+                    let got =
+                      Bitsliced.verdict b
+                        (Bitsliced.decide b ~table ~zfilter ~in_link_index:(-1))
+                    in
+                    same_verdict v got
+                      (Bitsliced.verdict fresh
+                         (Bitsliced.decide fresh ~table ~zfilter
+                            ~in_link_index:(-1))))
+                  zfilters
+              | None, None -> QCheck.Test.fail_reportf "node %d not pinned" v)
+            (List.sort_uniq Int.compare !touched))
+        arenas;
+      true)
 
 let prop_filter_mutation_flagged =
   QCheck.Test.make
@@ -498,6 +638,91 @@ let test_stitched_span_crosscheck () =
             [ (`Reference, "reference"); (`Fast, "fast");
               (`Bitsliced, "bitsliced") ]))
 
+(* A traced stitched publication on the arena records exactly the
+   events the allocating path records.  The twin below drives
+   Run.deliver stage by stage over the same nets (same patched engines),
+   in the arena run's activation order, and records the same handoff
+   events; the two event streams must agree field by field (stage
+   included; packet id and ring sequence number blanked), and the
+   arena's span forest must cross-check clean. *)
+let test_stitched_arena_trace_matches_run () =
+  let hops packet =
+    List.map
+      (fun e -> { e with Obs.Trace.ev_packet = 0; ev_seq = 0 })
+      (Obs.Trace.packet_events packet)
+  in
+  let trace_event =
+    Alcotest.testable
+      (fun fmt e -> Format.pp_print_string fmt (Obs.Trace.to_string e))
+      ( = )
+  in
+  let check ~clean adaptive part =
+    let st = Stitched.make ~loop_prevention:false adaptive in
+    let g = Net.graph (Stitched.net st ~m:part.Partition.stages.(0).Partition.m) in
+    Stitched.install st part;
+    Fun.protect
+      ~finally:(fun () -> Stitched.uninstall st part)
+      (fun () ->
+        List.iter
+          (fun (engine, name) ->
+            let name = Printf.sprintf "%s (%d stages)" name (Partition.stage_count part) in
+            let o = Stitched.deliver ~engine st part in
+            Alcotest.(check bool) (name ^ " sampled") true
+              (o.Stitched.packet_id >= 0);
+            let ctx = Obs.Trace.forced () in
+            let ring = Obs.Trace.local () in
+            List.iter
+              (fun idx ->
+                let s = part.Partition.stages.(idx) in
+                let r =
+                  Run.deliver ~engine ~trace:ctx ~stage:idx
+                    (Stitched.net st ~m:s.Partition.m)
+                    ~src:s.Partition.root ~table:s.Partition.table
+                    ~zfilter:s.Partition.filter
+                    ~tree:(List.map (Graph.link g) s.Partition.links)
+                in
+                List.iter
+                  (fun (node, pid, next) ->
+                    if pid = part.Partition.id then
+                      Obs.Trace.record ring ~stage:idx
+                        ~packet:ctx.Obs.Trace.tc_packet ~node ~in_link:(-1)
+                        ~kind:Obs.Trace.Stitch_handoff ~out_links:[| next |]
+                        ~false_positive:false ~loop_suspected:false
+                        ~deliver_local:false ~ttl_expired:0)
+                  r.Run.stitch_hits)
+              o.Stitched.stage_order;
+            Alcotest.(check (list trace_event))
+              (name ^ " trace events")
+              (hops ctx.Obs.Trace.tc_packet)
+              (hops o.Stitched.packet_id);
+            let expected = ref [] in
+            Array.iteri
+              (fun v c -> if c > 0 then expected := v :: !expected)
+              o.Stitched.delivered;
+            let verdict packet =
+              Obs.Span.crosscheck
+                ~dst_of:(fun l -> (Graph.link g l).Graph.dst)
+                ~expected:(List.rev !expected) (Obs.Span.of_packet packet)
+            in
+            let v = verdict o.Stitched.packet_id in
+            (* A compiler-produced plan may carry the false-positive
+               duplicate background; its verdict must then be the
+               allocating path's, anomaly for anomaly. *)
+            Alcotest.(check string) (name ^ " span verdict")
+              (Obs.Span.verdict_to_string (verdict ctx.Obs.Trace.tc_packet))
+              (Obs.Span.verdict_to_string v);
+            if clean && not v.Obs.Span.vd_ok then
+              Alcotest.failf "%s: %s" name (Obs.Span.verdict_to_string v))
+          [ (`Fast, "fast"); (`Bitsliced, "bitsliced"); (`Auto, "auto") ])
+  in
+  with_tracing (fun () ->
+      let adaptive, part, _, _ = manual_partition () in
+      check ~clean:true adaptive part;
+      let _g, hosts, adaptive = fixture 31 ~hosts:400 in
+      let subs = pick_subset (Rng.of_int 32) hosts ~keep:90 in
+      let part, _ = plan_exn adaptive ~seed:31 ~subscribers:subs in
+      check ~clean:false adaptive part)
+
 (* The dynamic twin of [test_injected_cross_stage_duplicate]: running
    the corrupted partition (stage 0's filter falsely contains stage 1's
    egress tag) makes stage 2 activate twice at runtime.  The span
@@ -558,6 +783,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_netcheck_accepts_plans;
           QCheck_alcotest.to_alcotest prop_engines_agree;
           QCheck_alcotest.to_alcotest prop_filter_mutation_flagged;
+          QCheck_alcotest.to_alcotest prop_stitch_patch_matches_compile;
         ] );
       ( "injections",
         [
@@ -592,6 +818,8 @@ let () =
         ] );
       ( "flight",
         [
+          Alcotest.test_case "stitched arena trace == Run.deliver trace" `Quick
+            test_stitched_arena_trace_matches_run;
           Alcotest.test_case "stitched spans cross-check clean" `Quick
             test_stitched_span_crosscheck;
           Alcotest.test_case "recorder fires on injected duplicate" `Quick

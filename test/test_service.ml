@@ -244,7 +244,7 @@ let test_deliver_into_matches_deliver () =
   let arena = Arena.create net in
   List.iter
     (fun (engine, traced) ->
-      Arena.prepare arena engine;
+      Arena.warm arena engine;
       Array.iteri
         (fun i j ->
           let ctx () = if traced then Obs.Trace.forced () else Obs.Trace.off in
@@ -318,50 +318,216 @@ let test_deliver_into_matches_deliver () =
 
 (* --- partitioned batches == sequential Stitched.deliver --- *)
 
-let test_partitioned_matches_sequential () =
+(* Counter deltas that describe the publications themselves, comparable
+   across engines and executors: engine labels are dropped and the three
+   engines' decision totals merged (each engine registers its meters
+   under its own name or label), and the machinery counters — compiles,
+   engine creation and the service's own bookkeeping — are left out. *)
+let publication_deltas deltas =
+  let starts_with p k =
+    String.length k >= String.length p && String.sub k 0 (String.length p) = p
+  in
+  let machinery =
+    [ "lipsin_service_"; "lipsin_fastpath_compiles_total";
+      "lipsin_bitsliced_compiles_total"; "lipsin_engine_creates_total" ]
+  in
+  let decisions =
+    [ "lipsin_node_engine_decisions_total"; "lipsin_fastpath_decisions_total";
+      "lipsin_bitsliced_decisions_total" ]
+  in
+  let normalise k =
+    if List.mem k decisions then "decisions"
+    else
+      String.concat ","
+        (List.filter
+           (fun part -> not (starts_with "engine=" part))
+           (String.split_on_char ',' k))
+  in
+  let merged = Hashtbl.create 16 in
+  List.iter
+    (fun (k, d) ->
+      if not (List.exists (fun p -> starts_with p k) machinery) then begin
+        let k = normalise k in
+        Hashtbl.replace merged k
+          (d + Option.value ~default:0 (Hashtbl.find_opt merged k))
+      end)
+    deltas;
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (List.of_seq (Hashtbl.to_seq merged))
+
+let check_stitched name (want : Stitched.outcome) (got : Stitched.outcome) =
+  let int what a b = Alcotest.(check int) (name ^ ": " ^ what) a b in
+  Alcotest.(check (array int)) (name ^ ": delivered") want.Stitched.delivered
+    got.Stitched.delivered;
+  int "stages run" want.Stitched.stages_run got.Stitched.stages_run;
+  Alcotest.(check (list int)) (name ^ ": stage order")
+    want.Stitched.stage_order got.Stitched.stage_order;
+  int "duplicate handoffs" want.Stitched.duplicate_handoffs
+    got.Stitched.duplicate_handoffs;
+  int "missed stages" want.Stitched.missed_stages got.Stitched.missed_stages;
+  int "foreign hits" want.Stitched.foreign_hits got.Stitched.foreign_hits;
+  int "subscribers missed" want.Stitched.subscribers_missed
+    got.Stitched.subscribers_missed;
+  int "traversals" want.Stitched.link_traversals got.Stitched.link_traversals;
+  int "false positives" want.Stitched.false_positives
+    got.Stitched.false_positives;
+  int "membership tests" want.Stitched.membership_tests
+    got.Stitched.membership_tests;
+  int "fill drops" want.Stitched.fill_drops got.Stitched.fill_drops;
+  int "loop drops" want.Stitched.loop_drops got.Stitched.loop_drops;
+  (* Packet ids are per-publication identities; whether one was drawn
+     is not — every publication here is sampled. *)
+  Alcotest.(check bool) (name ^ ": sampled") (want.Stitched.packet_id >= 0)
+    (got.Stitched.packet_id >= 0);
+  Alcotest.(check (list string)) (name ^ ": trace anomalies")
+    want.Stitched.trace_anomalies got.Stitched.trace_anomalies
+
+(* Six stage-cut partitions of decreasing audience on one two-tier
+   topology. *)
+let partitions () =
   let g, hosts =
     Scenario.two_tier ~seed:77 ~core:60 ~core_edges:120 ~max_degree:16
       ~hosts:400 ()
   in
   let adaptive = Adaptive.make ~d:2 ~k:5 (Rng.of_int 78) g in
-  let part =
+  let plan i subscribers =
     match
-      Stagecut.plan adaptive ~rng:(Rng.of_int 79) ~root:0 ~subscribers:hosts
+      Stagecut.plan adaptive ~id:i ~rng:(Rng.of_int (79 + i)) ~root:i
+        ~subscribers
     with
     | Ok (part, _) -> part
     | Error e -> Alcotest.failf "Stagecut.plan: %s" e
   in
-  let stitched = Stitched.make ~loop_prevention:false adaptive in
-  Stitched.install stitched part;
-  let seq = Stitched.deliver ~engine:`Fast stitched part in
-  Stitched.uninstall stitched part;
-  let parts = Array.make 6 part in
+  ( adaptive,
+    Array.init 6 (fun i ->
+        plan i (List.filteri (fun j _ -> j mod (i + 1) = 0) hosts)) )
+
+let test_partitioned_matches_sequential () =
+  let adaptive, parts = partitions () in
+  Obs.Sink.set Obs.Sink.Memory;
+  Obs.Trace.set_recording true;
+  Obs.Trace.set_sampling 1;
+  Fun.protect ~finally:(fun () -> Obs.Sink.set Obs.Sink.Noop) (fun () ->
+      let stitched = Stitched.make ~loop_prevention:false adaptive in
+      let seq = ref [||] in
+      let seq_deltas =
+        counter_deltas (fun () ->
+            seq :=
+              Array.map
+                (fun p ->
+                  Stitched.install stitched p;
+                  let o = Stitched.deliver ~engine:`Reference stitched p in
+                  Stitched.uninstall stitched p;
+                  o)
+                parts)
+      in
+      List.iter
+        (fun (engine, label) ->
+          let svc =
+            Service.create ~workers:3 ~engine ~adaptive
+              (Adaptive.assignment adaptive
+                 ~m:(List.hd (Adaptive.widths adaptive)))
+          in
+          let got = Array.make (Array.length parts) None in
+          let run () =
+            counter_deltas (fun () ->
+                let st =
+                  Service.run_partitioned svc parts ~f:(fun i o ->
+                      got.(i) <- Some o)
+                in
+                Alcotest.(check int) "all partitions ran" (Array.length parts)
+                  st.Service.st_jobs)
+          in
+          let cold = run () in
+          (* Every width is warm now: stitch installs patch the pinned
+             engines and nothing compiles. *)
+          let warm = run () in
+          Service.shutdown svc;
+          Alcotest.(check int)
+            (label ^ ": no compile once warm") 0
+            (Option.value ~default:0
+               (List.assoc_opt "lipsin_fastpath_compiles_total" warm)
+            + Option.value ~default:0
+                (List.assoc_opt "lipsin_bitsliced_compiles_total" warm));
+          List.iter
+            (fun (what, d) ->
+              Alcotest.(check (list (pair string int)))
+                (Printf.sprintf "%s: %s Obs counter deltas" label what)
+                (publication_deltas seq_deltas) (publication_deltas d))
+            [ ("cold", cold); ("warm", warm) ];
+          Array.iteri
+            (fun i o ->
+              match o with
+              | None -> Alcotest.failf "partition %d never delivered" i
+              | Some (o : Stitched.outcome) ->
+                check_stitched
+                  (Printf.sprintf "%s partition %d" label i)
+                  !seq.(i) o;
+                (match Stitched.exactly_once o parts.(i) with
+                | Ok () -> ()
+                | Error e ->
+                  Alcotest.failf "partition %d: exactly-once: %s" i e))
+            got)
+        [ (`Fast, "fast"); (`Bitsliced, "bitsliced"); (`Auto, "auto") ])
+
+(* --- a raising job: the pool reports it and stays usable --- *)
+
+(* A stitched publication that raises mid-delivery must still be
+   uninstalled.  The bad copy of partition 0 has a foreign id and a
+   stage-0 filter of the wrong width, so its deliver raises after every
+   entry went in; an entry left behind would turn up as a foreign hit
+   in the next publication of partition 0 (same nonces, same nodes). *)
+let test_raising_partition () =
+  let adaptive, parts = partitions () in
+  let p = parts.(0) in
+  let stages = Array.copy p.Partition.stages in
+  stages.(0) <- { (stages.(0)) with Partition.filter = Zfilter.create ~m:512 };
+  let bad = { p with Partition.id = 99; stages } in
   let svc =
-    Service.create ~workers:3 ~engine:`Fast ~adaptive
+    Service.create ~workers:1 ~engine:`Fast ~adaptive
       (Adaptive.assignment adaptive ~m:(List.hd (Adaptive.widths adaptive)))
   in
-  let got = Array.make (Array.length parts) None in
-  let st =
-    Service.run_partitioned svc parts ~f:(fun i o -> got.(i) <- Some o)
-  in
-  Service.shutdown svc;
-  Alcotest.(check int) "all partitions ran" (Array.length parts)
-    st.Service.st_jobs;
-  Array.iteri
-    (fun i o ->
-      match o with
-      | None -> Alcotest.failf "partition %d never delivered" i
-      | Some (o : Stitched.outcome) ->
-        Alcotest.(check (array int))
-          (Printf.sprintf "partition %d delivered set" i)
-          seq.Stitched.delivered o.Stitched.delivered;
-        Alcotest.(check int)
-          (Printf.sprintf "partition %d traversals" i)
-          seq.Stitched.link_traversals o.Stitched.link_traversals;
-        (match Stitched.exactly_once o part with
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown svc)
+    (fun () ->
+      (match Service.run_partitioned svc [| bad |] ~f:(fun _ _ -> ()) with
+      | _ -> Alcotest.fail "bad-width stage did not raise"
+      | exception Invalid_argument _ -> ());
+      let got = ref None in
+      ignore (Service.run_partitioned svc [| p |] ~f:(fun _ o -> got := Some o));
+      match !got with
+      | None -> Alcotest.fail "partition never delivered"
+      | Some o ->
+        Alcotest.(check int) "no stitch entry left behind" 0
+          o.Stitched.foreign_hits;
+        (match Stitched.exactly_once o p with
         | Ok () -> ()
-        | Error e -> Alcotest.failf "partition %d: exactly-once: %s" i e))
-    got
+        | Error e -> Alcotest.failf "exactly-once: %s" e))
+
+let test_raising_job () =
+  let asg, jobs = make_jobs 19 ~nodes:40 ~count:32 in
+  let seq = sequential ~engine:`Fast asg jobs in
+  (* A zFilter wider than the assignment's: Fastpath.decide refuses it. *)
+  let bad =
+    { (jobs.(0)) with Service.job_zfilter = Zfilter.create ~m:512 }
+  in
+  List.iter
+    (fun workers ->
+      let svc = Service.create ~workers ~engine:`Fast asg in
+      Fun.protect
+        ~finally:(fun () -> Service.shutdown svc)
+        (fun () ->
+          List.iter
+            (fun batch ->
+              match Service.run svc batch with
+              | _ -> Alcotest.failf "%d workers: bad-width job did not raise" workers
+              | exception Invalid_argument _ -> ())
+            [ [| bad |]; Array.append jobs [| bad |] ];
+          check_totals
+            (Printf.sprintf "%d workers, after a raise" workers)
+            (Service.run svc jobs) seq))
+    [ 1; 2 ]
 
 (* --- property: random scenarios, random worker counts --- *)
 
@@ -409,7 +575,13 @@ let () =
             test_deliver_into_matches_deliver;
         ] );
       ( "lifecycle",
-        [ Alcotest.test_case "pool reuse + shutdown" `Quick test_pool_reuse ] );
+        [
+          Alcotest.test_case "pool reuse + shutdown" `Quick test_pool_reuse;
+          Alcotest.test_case "a raising job raises, pool survives" `Quick
+            test_raising_job;
+          Alcotest.test_case "a raising stitched publication is uninstalled"
+            `Quick test_raising_partition;
+        ] );
       ( "partitioned",
         [
           Alcotest.test_case "run_partitioned == Stitched.deliver" `Quick
